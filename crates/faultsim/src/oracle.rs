@@ -117,24 +117,107 @@ impl Reference {
             actual.len(),
             "oracle and run disagree on the database size"
         );
-        let mut torn = vec![false; expect.len()];
-        if allow_torn_tail {
-            for (off, len) in self.tail_spans(seq) {
-                for b in off..off + len {
-                    torn[b as usize] = true;
-                }
-            }
-        }
-        (0..expect.len())
-            .find(|&i| expect[i] != actual[i] && !torn[i])
-            .map(|i| i as u64)
+        let torn = if allow_torn_tail {
+            self.tail_spans(seq)
+        } else {
+            Vec::new()
+        };
+        first_unexplained(expect, actual, &torn)
     }
+}
+
+/// The first offset where `expect` and `actual` differ outside every
+/// `(offset, len)` span of `torn`.
+///
+/// Equal stretches are skipped with block-wise slice comparisons
+/// (`memcmp`), so the cost of a matching image is a few bulk compares
+/// rather than a byte loop; a difference inside a torn span skips to the
+/// end of that span, since every byte up to there is explained.
+fn first_unexplained(expect: &[u8], actual: &[u8], torn: &[(u64, u64)]) -> Option<u64> {
+    let mut from = 0;
+    while let Some(i) = first_difference(&expect[from..], &actual[from..]).map(|d| from + d) {
+        let at = i as u64;
+        match torn
+            .iter()
+            .filter(|&&(off, len)| (off..off + len).contains(&at))
+            .map(|&(off, len)| off + len)
+            .max()
+        {
+            Some(end) => from = end as usize,
+            None => return Some(at),
+        }
+    }
+    None
+}
+
+/// The index of the first byte where `a` and `b` (of equal length) differ.
+fn first_difference(a: &[u8], b: &[u8]) -> Option<usize> {
+    const BLOCK: usize = 1024;
+    let block = a
+        .chunks(BLOCK)
+        .zip(b.chunks(BLOCK))
+        .position(|(x, y)| x != y)?;
+    let start = block * BLOCK;
+    a[start..]
+        .iter()
+        .zip(&b[start..])
+        .position(|(x, y)| x != y)
+        .map(|d| start + d)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dsnrep_workloads::WorkloadKind;
+
+    /// The reference: a byte loop over a torn-byte mask.
+    fn scan_unexplained(expect: &[u8], actual: &[u8], torn: &[(u64, u64)]) -> Option<u64> {
+        let mut mask = vec![false; expect.len()];
+        for &(off, len) in torn {
+            for b in off..off + len {
+                mask[b as usize] = true;
+            }
+        }
+        (0..expect.len())
+            .find(|&i| expect[i] != actual[i] && !mask[i])
+            .map(|i| i as u64)
+    }
+
+    #[test]
+    fn block_skipping_matches_the_byte_loop() {
+        // A fixed LCG: sizes around the block length, sparse and dense
+        // differences, overlapping and nested torn spans.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        for case in 0..2_000 {
+            let len = [0, 1, 63, 1023, 1024, 1025, 3000][case % 7];
+            let expect: Vec<u8> = (0..len).map(|_| next(256) as u8).collect();
+            let mut actual = expect.clone();
+            for _ in 0..next(6) {
+                if len > 0 {
+                    let at = next(len as u64) as usize;
+                    actual[at] ^= 1 + next(255) as u8;
+                }
+            }
+            let torn: Vec<(u64, u64)> = (0..next(5))
+                .filter(|_| len > 0)
+                .map(|_| {
+                    let off = next(len as u64);
+                    (off, next(len as u64 - off + 1))
+                })
+                .collect();
+            assert_eq!(
+                first_unexplained(&expect, &actual, &torn),
+                scan_unexplained(&expect, &actual, &torn),
+                "case {case}: len {len}, torn {torn:?}"
+            );
+        }
+    }
 
     #[test]
     fn the_reference_is_deterministic_and_sized() {

@@ -155,12 +155,50 @@ impl DownstreamNode {
     }
 }
 
-/// One committed transaction's replica visibility: when each replica held
-/// the whole transaction (`visible[i]` is node `i + 1`; `None` means a
-/// partition hole left that copy permanently incomplete).
+/// Per-replica committed-prefix index: answers "how many transactions
+/// `1..=p` had node `i` wholly received by `at`" in O(log n).
+///
+/// `columns[i]` belongs to node `i + 1`; its `k`-th entry (1-based) is the
+/// running max of the instants at which that node held transactions
+/// `1..=k`.
+/// Transaction `k` belongs to the prefix at `at` iff every instant up to
+/// it is `≤ at`, which is exactly `max(v_1..=v_k) ≤ at`; the column is
+/// non-decreasing, so the prefix is one binary search. A column stops
+/// growing at its node's first partition hole (`None`): no later
+/// transaction can extend a prefix past a transaction the copy lacks.
 #[derive(Clone, Debug)]
-struct TxnVisibility {
-    visible: Vec<Option<VirtualInstant>>,
+struct PrefixIndex {
+    columns: Vec<Vec<VirtualInstant>>,
+    /// `holed[i]`: node `i + 1` missed a transaction; its column is final.
+    holed: Vec<bool>,
+}
+
+impl PrefixIndex {
+    fn new(replicas: usize) -> Self {
+        PrefixIndex {
+            columns: vec![Vec::new(); replicas],
+            holed: vec![false; replicas],
+        }
+    }
+
+    /// Records one committed transaction: `row` yields, for nodes `1..rf`
+    /// in order, when that node held the whole transaction (`None` for a
+    /// partition hole).
+    fn push(&mut self, row: impl IntoIterator<Item = Option<VirtualInstant>>) {
+        let cells = self.columns.iter_mut().zip(&mut self.holed);
+        for ((column, holed), visible) in cells.zip(row) {
+            match visible {
+                _ if *holed => {}
+                Some(v) => column.push(column.last().map_or(v, |&m| m.max(v))),
+                None => *holed = true,
+            }
+        }
+    }
+
+    /// The committed prefix node `node` (1-based) held at `at`.
+    fn prefix(&self, node: u8, at: VirtualInstant) -> u64 {
+        self.columns[usize::from(node) - 1].partition_point(|&v| v <= at) as u64
+    }
 }
 
 /// One served replica read: who answered, what committed prefix it
@@ -169,7 +207,11 @@ struct TxnVisibility {
 /// `seq` is a *prefix*: the largest `p` such that the serving copy held
 /// every transaction `1..=p` when the read was issued — a read never
 /// observes transaction `k + 1` without `k`, so the value it returns is
-/// always some committed image, never a torn one.
+/// always some committed image, never a torn one. Equivalently, `p` counts
+/// the transactions whose running-max visibility instant on that copy is
+/// `≤ at`, stopping at the copy's first partition hole; the set keeps one
+/// such column per replica, so a replica read costs O(log n) in committed
+/// history.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReadSample {
     /// When the read was issued.
@@ -247,8 +289,10 @@ pub struct ReplicaSet<T: Tracer + 'static = NullTracer> {
     /// Commit instant of every transaction run so far, in order (the
     /// coordinator's committed-prefix clock for staleness accounting).
     commit_instants: Vec<VirtualInstant>,
-    /// Per-transaction replica visibility, aligned with `commit_instants`.
-    visibility: Vec<TxnVisibility>,
+    /// Per-replica committed-prefix index over the transactions in
+    /// `commit_instants` (left empty by primary-backup, whose reads the
+    /// primary serves).
+    visibility: PrefixIndex,
     /// Quorum read-set rotation cursor.
     read_rotation: u64,
 }
@@ -324,7 +368,7 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
             node1_received: 0,
             degraded_commits: 0,
             commit_instants: Vec::new(),
-            visibility: Vec::new(),
+            visibility: PrefixIndex::new(usize::from(rf) - 1),
             read_rotation: 0,
         }
     }
@@ -441,9 +485,8 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     /// caller catches the unwind, as with [`PassiveCluster`]).
     pub fn run_txn(&mut self, workload: &mut dyn Workload<T>) {
         self.head.run_txn(workload);
-        let visible = self.settle_txn();
+        self.settle_txn();
         self.commit_instants.push(self.head.machine().now());
-        self.visibility.push(TxnVisibility { visible });
     }
 
     /// Runs `txns` transactions and reports head throughput (inclusive of
@@ -460,13 +503,13 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     }
 
     /// Post-transaction replication settlement (no-op for primary-backup:
-    /// the multicast already delivered inside the accounted path). Returns
+    /// the multicast already delivered inside the accounted path). Records
     /// when each replica held the whole transaction, for the read path's
-    /// staleness accounting (empty for primary-backup, whose reads are
+    /// staleness accounting (nothing for primary-backup, whose reads are
     /// always served by the primary).
-    fn settle_txn(&mut self) -> Vec<Option<VirtualInstant>> {
+    fn settle_txn(&mut self) {
         match self.topology.strategy() {
-            ReplicationStrategy::PrimaryBackup => Vec::new(),
+            ReplicationStrategy::PrimaryBackup => {}
             ReplicationStrategy::Chain => self.settle_chain_txn(),
             ReplicationStrategy::Quorum { write, .. } => self.settle_quorum_txn(write),
         }
@@ -544,24 +587,20 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
         summary
     }
 
-    /// Replica visibility of the transaction settled at `now`: node 1
-    /// holds every 2-safe commit by its commit instant; a downstream node
-    /// holds it at its newest delivery, unless a drop left its copy
-    /// permanently holed.
-    fn settled_visibility(&self, node1: Option<VirtualInstant>) -> Vec<Option<VirtualInstant>> {
-        let mut visible = Vec::with_capacity(usize::from(self.topology.rf()) - 1);
-        visible.push(node1);
-        for node in &self.downstream {
-            visible.push(if node.data_lost {
-                None
-            } else {
-                Some(node.last_delivery)
-            });
-        }
-        visible
+    /// Records the replica visibility of the transaction settled at `now`:
+    /// node 1 holds every 2-safe commit by its commit instant; a
+    /// downstream node holds it at its newest delivery, unless a drop left
+    /// its copy permanently holed.
+    fn record_visibility(&mut self, node1: Option<VirtualInstant>) {
+        let downstream = self
+            .downstream
+            .iter()
+            .map(|node| (!node.data_lost).then_some(node.last_delivery));
+        self.visibility
+            .push(std::iter::once(node1).chain(downstream));
     }
 
-    fn settle_chain_txn(&mut self) -> Vec<Option<VirtualInstant>> {
+    fn settle_chain_txn(&mut self) {
         let now = self.head.machine().now();
         // 2-safe commits mean every packet of the transaction has been
         // delivered to node 1 by now; forward the lot down the chain.
@@ -569,22 +608,22 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
         for node in &mut self.downstream {
             node.apply_up_to(now);
         }
-        let visible = self.settled_visibility(Some(now));
+        self.record_visibility(Some(now));
         if summary.packets == 0 {
-            return visible;
+            return;
         }
         let rf = self.topology.rf();
         if rf == 2 {
             // A two-node chain is the pair: node 1 *is* the tail and the
             // 2-safe wait already covered its acknowledgement.
-            return visible;
+            return;
         }
         if summary.tail_reached < summary.packets {
             // A hop dropped part of the transaction: the tail will never
             // hold all of it, so its acknowledgement never comes. The
             // head times out and proceeds on node 1's 2-safe copy.
             self.degraded_commits += 1;
-            return visible;
+            return;
         }
         let tail = rf - 1;
         let tail_has_all = self.downstream[usize::from(tail) - 2].last_delivery;
@@ -597,10 +636,9 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
             }
             None => self.degraded_commits += 1,
         }
-        visible
     }
 
-    fn settle_quorum_txn(&mut self, write: u8) -> Vec<Option<VirtualInstant>> {
+    fn settle_quorum_txn(&mut self, write: u8) {
         let now = self.head.machine().now();
         let summary = self.forward_up_to(now);
         for node in &mut self.downstream {
@@ -618,9 +656,9 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
         } else {
             None
         };
-        let visible = self.settled_visibility(node1);
+        self.record_visibility(node1);
         if summary.packets == 0 {
-            return visible;
+            return;
         }
         let rf = self.topology.rf();
         // Collect the acknowledgement arrivals: each replica holding the
@@ -648,7 +686,7 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
         let needed = usize::from(write) - 1;
         let wait_to = if acks.len() >= needed {
             if needed == 0 {
-                return visible;
+                return;
             }
             acks[needed - 1]
         } else {
@@ -657,13 +695,12 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
             self.degraded_commits += 1;
             match acks.last() {
                 Some(&last) => last,
-                None => return visible,
+                None => return,
             }
         };
         self.head
             .machine_mut()
             .stall_until(StallCause::TwoSafe, wait_to);
-        visible
     }
 
     /// Transactions committed at or before `at` — the coordinator's view,
@@ -674,17 +711,10 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
 
     /// The committed prefix replica `node` (1-based) held at `at`: the
     /// largest `p` such that every transaction `1..=p` was fully delivered
-    /// to that copy by `at`.
+    /// to that copy by `at`. One binary search over the node's running-max
+    /// visibility column, O(log n) in committed history.
     fn visible_prefix(&self, node: u8, at: VirtualInstant) -> u64 {
-        let idx = usize::from(node) - 1;
-        let mut prefix = 0u64;
-        for txn in &self.visibility {
-            match txn.visible.get(idx) {
-                Some(Some(v)) if *v <= at => prefix += 1,
-                _ => break,
-            }
-        }
-        prefix
+        self.visibility.prefix(node, at)
     }
 
     /// Serves one read issued at `at` through the strategy's read path:
@@ -733,15 +763,15 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
                 // Rotate the read set over all RF nodes so replica copies
                 // actually serve (a head-always set would never observe
                 // staleness and never offload the coordinator).
-                let members: Vec<u8> = (0..u64::from(read))
-                    .map(|k| ((self.read_rotation + k) % u64::from(rf)) as u8)
-                    .collect();
+                let committed = self.committed_at(at);
+                let first = self.read_rotation;
                 self.read_rotation = (self.read_rotation + 1) % u64::from(rf);
                 let mut best: Option<(u64, u8)> = None;
                 let mut completed = at;
-                for &m in &members {
+                for k in 0..u64::from(read) {
+                    let m = ((first + k) % u64::from(rf)) as u8;
                     let (response_at, prefix) = if m == 0 {
-                        (at + service, self.committed_at(at))
+                        (at + service, committed)
                     } else {
                         match self.fabric.read_round_trip(
                             0,
@@ -764,7 +794,7 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
                 }
                 // Every remote member timed out: the coordinator serves
                 // from its own copy after the timeout.
-                let (seq, node) = best.unwrap_or((self.committed_at(at), 0));
+                let (seq, node) = best.unwrap_or((committed, 0));
                 if best.is_none() {
                     completed = completed.max(at + service);
                 }
@@ -773,7 +803,7 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
                     completed,
                     node: NodeId::new(node),
                     seq,
-                    staleness: self.committed_at(at).saturating_sub(seq),
+                    staleness: committed.saturating_sub(seq),
                 }
             }
         };
@@ -915,4 +945,60 @@ struct ForwardSummary {
     node1_last: VirtualInstant,
     /// Quorum: packets whose node-1 DMA was past the cut (crash case).
     node1_missed: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The reference: the linear history scan `PrefixIndex` replaced.
+    fn scan_prefix(rows: &[Vec<Option<VirtualInstant>>], node: u8, at: VirtualInstant) -> u64 {
+        let idx = usize::from(node) - 1;
+        let mut prefix = 0u64;
+        for row in rows {
+            match row.get(idx) {
+                Some(Some(v)) if *v <= at => prefix += 1,
+                _ => break,
+            }
+        }
+        prefix
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// After every pushed row, the index answers exactly what the scan
+        /// does for every node and every query instant: before, at,
+        /// between and after the recorded (non-monotone) instants, with
+        /// partition holes anywhere.
+        #[test]
+        fn prefix_index_matches_the_history_scan(
+            rf in 2u8..=5,
+            cells in prop::collection::vec((0u8..12, 0u64..32), 0..96),
+        ) {
+            let replicas = usize::from(rf) - 1;
+            // Recorded instants are even and in 2..=64; a zero draw is a hole.
+            let rows: Vec<Vec<Option<VirtualInstant>>> = cells
+                .chunks_exact(replicas)
+                .map(|row| {
+                    row.iter()
+                        .map(|&(hole, v)| (hole != 0).then(|| VirtualInstant::from_picos(2 * v + 2)))
+                        .collect()
+                })
+                .collect();
+            let mut index = PrefixIndex::new(replicas);
+            for (n, row) in rows.iter().enumerate() {
+                index.push(row.iter().copied());
+                for node in 1..rf {
+                    for at in (0..=66).map(VirtualInstant::from_picos) {
+                        prop_assert_eq!(
+                            index.prefix(node, at),
+                            scan_prefix(&rows[..=n], node, at)
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -291,6 +291,78 @@ fn chain_tail_reads_trail_by_the_propagation_delay() {
 }
 
 #[test]
+fn chain_tail_reads_freeze_at_the_last_whole_transaction_before_a_hole() {
+    let config = config();
+    let topology = Topology::new(4, ReplicationStrategy::Chain).unwrap();
+    let mut set = ReplicaSet::new(
+        CostModel::alpha_21164a(),
+        VersionTag::ImprovedLog,
+        &config,
+        topology,
+    );
+    // The last hop swallows everything after 150 packets: the tail's copy
+    // is holed mid-run.
+    set.partition_drop_after(2, 3, 150);
+    let mut w = DebitCredit::new(set.engine().db_region(), 31);
+    // The tail holds transaction k whole iff it had lost nothing by the
+    // end of k's settlement, i.e. it had every packet node 1 relayed.
+    let mut whole = 0u64;
+    for n in 1..=60 {
+        set.run_txn(&mut w);
+        if set.received_by(3) == set.received_by(1) {
+            whole = n;
+        }
+    }
+    assert!(whole > 0 && whole < 60, "the hole lands mid-run: {whole}");
+    assert_eq!(set.degraded_commits(), 60 - whole);
+    let far = set.machine().now() + VirtualDuration::from_secs(1);
+    let frozen = set.serve_read(far);
+    assert_eq!(frozen.node, NodeId::new(3));
+    assert_eq!(frozen.seq, whole);
+    assert_eq!(frozen.staleness, 60 - whole);
+    // More commits move the coordinator's clock, never the tail's prefix.
+    set.run(&mut w, 20);
+    let far = set.machine().now() + VirtualDuration::from_secs(1);
+    assert_eq!(set.committed_at(far), 80);
+    let later = set.serve_read(far);
+    assert_eq!(later.seq, whole);
+    assert_eq!(later.staleness, 80 - whole);
+}
+
+#[test]
+fn quorum_reads_serve_the_full_prefix_past_a_fan_out_hole() {
+    let config = config();
+    let topology = Topology::new(3, ReplicationStrategy::Quorum { read: 2, write: 2 }).unwrap();
+    let mut set = ReplicaSet::new(
+        CostModel::alpha_21164a(),
+        VersionTag::ImprovedLog,
+        &config,
+        topology,
+    );
+    // Node 2's copy is holed early; node 1 keeps acknowledging, so W=2
+    // still commits without degrading.
+    set.partition_drop_after(0, 2, 40);
+    let mut w = DebitCredit::new(set.engine().db_region(), 37);
+    let mut served_past_hole = std::collections::BTreeSet::new();
+    for n in 1..=60 {
+        set.run_txn(&mut w);
+        let sample = set.serve_read(set.machine().now());
+        // R=2 over 3 nodes: every read set holds node 1 or the head.
+        assert_eq!(sample.seq, n, "read {n}");
+        assert_eq!(sample.staleness, 0, "read {n}");
+        if set.received_by(2) < set.received_by(1) {
+            served_past_hole.insert(sample.node.as_u8());
+        }
+    }
+    assert_eq!(set.degraded_commits(), 0);
+    assert_eq!(
+        served_past_hole,
+        [0, 1].into(),
+        "the head and node 1 serve every read past the hole"
+    );
+}
+
+#[test]
 fn quorum_reads_rotate_and_observe_staleness_under_delay() {
     let config = config();
     let topology = Topology::new(3, ReplicationStrategy::Quorum { read: 2, write: 2 }).unwrap();
