@@ -6,7 +6,7 @@
 //! the backup, which guarantees zero lost transactions at a steep
 //! throughput price on a microsecond-scale engine.
 use dsnrep_core::{Durability, EngineConfig, VersionTag};
-use dsnrep_repl::{ActiveCluster, PassiveCluster};
+use dsnrep_repl::{ActiveCluster, Cluster, PassiveCluster};
 use dsnrep_simcore::{CostModel, MIB};
 use dsnrep_workloads::WorkloadKind;
 
@@ -29,19 +29,10 @@ fn main() {
             .enumerate()
         {
             let config = EngineConfig::for_db(50 * MIB);
+            let costs = CostModel::alpha_21164a();
             tps[i] = match version {
-                Some(v) => {
-                    let mut c = PassiveCluster::new(CostModel::alpha_21164a(), v, &config);
-                    c.set_durability(*durability);
-                    let mut w = WorkloadKind::DebitCredit.build(c.engine().db_region(), 42);
-                    c.run(w.as_mut(), txns).tps()
-                }
-                None => {
-                    let mut c = ActiveCluster::new(CostModel::alpha_21164a(), &config);
-                    c.set_durability(*durability);
-                    let mut w = WorkloadKind::DebitCredit.build(c.db_region(), 42);
-                    c.run(w.as_mut(), txns).tps()
-                }
+                Some(v) => tps_at(PassiveCluster::new(costs, v, &config), *durability, txns),
+                None => tps_at(ActiveCluster::new(costs, &config), *durability, txns),
             };
         }
         println!(
@@ -51,4 +42,11 @@ fn main() {
             (1.0 - tps[1] / tps[0]) * 100.0
         );
     }
+}
+
+/// Debit-Credit throughput of `cluster` committing at `durability`.
+fn tps_at<C: Cluster>(mut cluster: C, durability: Durability, txns: u64) -> f64 {
+    cluster.machine_mut().set_durability(durability);
+    let mut workload = WorkloadKind::DebitCredit.build(cluster.db_region(), 42);
+    cluster.run(workload.as_mut(), txns).tps()
 }

@@ -6,7 +6,7 @@
 //! only roll back the in-flight transaction; the active backup applies
 //! whole transactions and recovers almost instantly.
 use dsnrep_core::{EngineConfig, VersionTag};
-use dsnrep_repl::{ActiveCluster, PassiveCluster};
+use dsnrep_repl::{ActiveCluster, Cluster, PassiveCluster, Recovery};
 use dsnrep_simcore::{CostModel, MIB};
 use dsnrep_workloads::WorkloadKind;
 
@@ -20,22 +20,25 @@ fn main() {
     println!("|--------|---------------|-----------|");
     let config = EngineConfig::for_db(50 * MIB);
     for version in VersionTag::ALL {
-        let mut cluster = PassiveCluster::new(CostModel::alpha_21164a(), version, &config);
-        let mut workload = WorkloadKind::DebitCredit.build(cluster.engine().db_region(), 42);
-        cluster.run(workload.as_mut(), txns);
-        let failover = cluster.crash_primary();
-        println!(
-            "| passive {version} | {} | {} |",
-            failover.recovery_time,
-            txns - failover.report.committed_seq
-        );
+        let cluster = PassiveCluster::new(CostModel::alpha_21164a(), version, &config);
+        recovery_row(&format!("passive {version}"), cluster, txns);
     }
-    let mut cluster = ActiveCluster::new(CostModel::alpha_21164a(), &config);
+    recovery_row(
+        "active",
+        ActiveCluster::new(CostModel::alpha_21164a(), &config),
+        txns,
+    );
+}
+
+/// Runs `txns` transactions on `cluster`, crashes the primary and prints
+/// what the takeover cost and lost.
+fn recovery_row<C: Cluster>(label: &str, mut cluster: C, txns: u64) {
     let mut workload = WorkloadKind::DebitCredit.build(cluster.db_region(), 42);
     cluster.run(workload.as_mut(), txns);
-    let failover = cluster.crash_primary().expect("backup formats");
+    let (_, takeover) = cluster.begin_takeover();
+    let failover = takeover.recover().expect("backup formats");
     println!(
-        "| active | {} | {} |",
+        "| {label} | {} | {} |",
         failover.recovery_time,
         txns - failover.report.committed_seq
     );

@@ -45,7 +45,6 @@ fn bench_machine_store_paths(c: &mut Criterion) {
     let payload = [7u8; SPAN_LEN as usize];
 
     let mut per_op = replicated_machine();
-    per_op.set_per_op_stores(true);
     let mut base = 0u64;
     group.bench_function("per_op", |b| {
         b.iter(|| {

@@ -25,7 +25,7 @@ use std::time::Instant;
 use dsnrep_cluster::{ReplicationStrategy, Topology};
 use dsnrep_core::{build_engine, EngineConfig, Machine, VersionTag};
 use dsnrep_mcsim::Traffic;
-use dsnrep_repl::{ActiveCluster, PassiveCluster, ReplicaSet, Scheme, SmpExperiment};
+use dsnrep_repl::{ActiveCluster, Cluster, PassiveCluster, ReplicaSet, Scheme, SmpExperiment};
 use dsnrep_simcore::{CostModel, TrafficClass, MIB};
 use dsnrep_workloads::{run_standalone, WorkloadKind};
 
@@ -142,10 +142,12 @@ fn standalone_scenario(name: &'static str, version: VersionTag, txns: u64) -> Sc
     }
 }
 
-fn passive_scenario(name: &'static str, version: VersionTag, txns: u64) -> Scenario {
-    let config = EngineConfig::for_db(DB);
-    let mut cluster = PassiveCluster::new(CostModel::alpha_21164a(), version, &config);
-    let mut workload = WorkloadKind::DebitCredit.build(cluster.engine().db_region(), SEED);
+/// One cluster driver running Debit-Credit: the passive pair (write
+/// doubling), the active pair (redo ring), or an RF = 3 replica set (the
+/// head's pair link plus the chain hops or quorum fan-out/ack legs, so a
+/// fabric-side regression cannot hide inside the pair numbers).
+fn cluster_scenario<C: Cluster>(name: &'static str, mut cluster: C, txns: u64) -> Scenario {
+    let mut workload = WorkloadKind::DebitCredit.build(cluster.db_region(), SEED);
     let t0 = Instant::now();
     let report = cluster.run(workload.as_mut(), txns);
     let wall_secs = t0.elapsed().as_secs_f64();
@@ -165,55 +167,22 @@ fn passive_scenario(name: &'static str, version: VersionTag, txns: u64) -> Scena
     }
 }
 
-fn active_scenario(name: &'static str, txns: u64) -> Scenario {
-    let config = EngineConfig::for_db(DB);
-    let mut cluster = ActiveCluster::new(CostModel::alpha_21164a(), &config);
-    let mut workload = WorkloadKind::DebitCredit.build(cluster.db_region(), SEED);
-    let t0 = Instant::now();
-    let report = cluster.run(workload.as_mut(), txns);
-    let wall_secs = t0.elapsed().as_secs_f64();
-    cluster.settle();
-    Scenario {
-        name,
-        txns,
-        txns_per_wall_sec: txns as f64 / wall_secs,
-        wall_secs,
-        virt: VirtMetrics::from_traffic(
-            cluster.machine().stats().elapsed.as_picos(),
-            report.tps(),
-            &cluster.traffic(),
-        ),
-    }
+fn passive(version: VersionTag) -> PassiveCluster {
+    PassiveCluster::new(
+        CostModel::alpha_21164a(),
+        version,
+        &EngineConfig::for_db(DB),
+    )
 }
 
-/// An RF = 3 improved-log replica set: the head's native pair link plus
-/// the multi-link fabric (chain hops or quorum fan-out/ack legs). These
-/// pin the cost of the N-node paths next to `passive_improved_log`, so a
-/// fabric-side regression cannot hide inside the pair numbers.
-fn replica_set_scenario(name: &'static str, topology: Topology, txns: u64) -> Scenario {
-    let config = EngineConfig::for_db(DB);
-    let mut set = ReplicaSet::new(
+fn replica_set(strategy: ReplicationStrategy) -> ReplicaSet {
+    let topology = Topology::new(3, strategy).expect("rf 3 topology");
+    ReplicaSet::new(
         CostModel::alpha_21164a(),
         VersionTag::ImprovedLog,
-        &config,
+        &EngineConfig::for_db(DB),
         topology,
-    );
-    let mut workload = WorkloadKind::DebitCredit.build(set.engine().db_region(), SEED);
-    let t0 = Instant::now();
-    let report = set.run(workload.as_mut(), txns);
-    let wall_secs = t0.elapsed().as_secs_f64();
-    set.quiesce();
-    Scenario {
-        name,
-        txns,
-        txns_per_wall_sec: txns as f64 / wall_secs,
-        wall_secs,
-        virt: VirtMetrics::from_traffic(
-            set.machine().stats().elapsed.as_picos(),
-            report.tps(),
-            &set.traffic(),
-        ),
-    }
+    )
 }
 
 /// The 64-node cell: 32 passive improved-log streams (32 primaries + 32
@@ -259,23 +228,24 @@ fn main() {
             standalone_scenario(n, VersionTag::ImprovedLog, t)
         }),
         ("passive_vista", |n, t| {
-            passive_scenario(n, VersionTag::Vista, t)
+            cluster_scenario(n, passive(VersionTag::Vista), t)
         }),
         ("passive_mirror_copy", |n, t| {
-            passive_scenario(n, VersionTag::MirrorCopy, t)
+            cluster_scenario(n, passive(VersionTag::MirrorCopy), t)
         }),
         ("passive_improved_log", |n, t| {
-            passive_scenario(n, VersionTag::ImprovedLog, t)
+            cluster_scenario(n, passive(VersionTag::ImprovedLog), t)
         }),
-        ("active_redo_ring", |n, t| active_scenario(n, t)),
+        ("active_redo_ring", |n, t| {
+            let config = EngineConfig::for_db(DB);
+            cluster_scenario(n, ActiveCluster::new(CostModel::alpha_21164a(), &config), t)
+        }),
         ("chain_rf3", |n, t| {
-            let topology = Topology::new(3, ReplicationStrategy::Chain).expect("rf 3 chain");
-            replica_set_scenario(n, topology, t)
+            cluster_scenario(n, replica_set(ReplicationStrategy::Chain), t)
         }),
         ("quorum_rf3", |n, t| {
-            let strategy = ReplicationStrategy::Quorum { read: 2, write: 2 };
-            let topology = Topology::new(3, strategy).expect("rf 3 majority quorum");
-            replica_set_scenario(n, topology, t)
+            let majority = ReplicationStrategy::Quorum { read: 2, write: 2 };
+            cluster_scenario(n, replica_set(majority), t)
         }),
         ("bigcell", bigcell_scenario),
     ];

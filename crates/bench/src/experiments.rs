@@ -1,15 +1,15 @@
 //! The experiment implementations, one per table and figure.
 //!
 //! Every function runs the relevant configuration in virtual time and
-//! returns structured results; the `benches/` targets and the `reproduce`
-//! binary print them next to the paper's numbers. Transaction counts are
+//! returns structured results; the `reproduce` binary prints them next to
+//! the paper's numbers. Transaction counts are
 //! scaled down from the paper's multi-million-transaction runs (throughput
 //! is a steady-state rate and traffic per transaction is constant, so
 //! volumes are rescaled to the paper's run lengths for comparison).
 
 use dsnrep_core::{build_engine, EngineConfig, Machine, VersionTag};
 use dsnrep_mcsim::{figure1_sweep, BandwidthPoint, Traffic};
-use dsnrep_repl::{ActiveCluster, PassiveCluster, Scheme, SmpExperiment};
+use dsnrep_repl::{ActiveCluster, Cluster, PassiveCluster, Scheme, SmpExperiment};
 use dsnrep_simcore::{CostModel, TrafficClass, MIB};
 use dsnrep_workloads::{run_standalone, WorkloadKind};
 
@@ -217,30 +217,26 @@ pub fn standalone_tps_and_stats(
     (tps, m.stats())
 }
 
-/// Passive primary-backup throughput and traffic of one version
-/// (Tables 1, 2, 4, 5).
-pub fn passive_tps_and_traffic(
+/// Throughput and traffic of `cluster` running `txns` transactions of
+/// `kind`: a passive pair for Tables 1, 2, 4 and 5, an active one for
+/// Tables 6, 7 and 8.
+pub fn cluster_tps_and_traffic<C: Cluster>(
     kind: WorkloadKind,
-    version: VersionTag,
     txns: u64,
-    db_len: u64,
+    mut cluster: C,
 ) -> (f64, TrafficMib) {
-    let config = EngineConfig::for_db(db_len);
-    let mut cluster = PassiveCluster::new(costs(), version, &config);
-    let mut workload = kind.build(cluster.engine().db_region(), SEED);
+    let mut workload = kind.build(cluster.db_region(), SEED);
     let report = cluster.run(workload.as_mut(), txns);
     let traffic = cluster.traffic();
     (report.tps(), TrafficMib::from_traffic(kind, txns, &traffic))
 }
 
-/// Active-backup throughput and traffic (Tables 6, 7, 8).
-pub fn active_tps_and_traffic(kind: WorkloadKind, txns: u64, db_len: u64) -> (f64, TrafficMib) {
-    let config = EngineConfig::for_db(db_len);
-    let mut cluster = ActiveCluster::new(costs(), &config);
-    let mut workload = kind.build(cluster.db_region(), SEED);
-    let report = cluster.run(workload.as_mut(), txns);
-    let traffic = cluster.traffic();
-    (report.tps(), TrafficMib::from_traffic(kind, txns, &traffic))
+fn passive(version: VersionTag, db_len: u64) -> PassiveCluster {
+    PassiveCluster::new(costs(), version, &EngineConfig::for_db(db_len))
+}
+
+fn active(db_len: u64) -> ActiveCluster {
+    ActiveCluster::new(costs(), &EngineConfig::for_db(db_len))
 }
 
 /// Figure 1: the strided-store bandwidth sweep.
@@ -256,7 +252,7 @@ pub fn table1(scale: RunScale) -> [[f64; 2]; 2] {
         if i % 2 == 0 {
             standalone_tps(kind, VersionTag::Vista, txns)
         } else {
-            passive_tps_and_traffic(kind, VersionTag::Vista, txns, PAPER_DB).0
+            cluster_tps_and_traffic(kind, txns, passive(VersionTag::Vista, PAPER_DB)).0
         }
     });
     let mut out = [[0.0; 2]; 2];
@@ -270,7 +266,8 @@ pub fn table1(scale: RunScale) -> [[f64; 2]; 2] {
 pub fn table2(scale: RunScale) -> [TrafficMib; 2] {
     let res = par_cells(WorkloadKind::ALL.len(), |i| {
         let kind = WorkloadKind::ALL[i];
-        passive_tps_and_traffic(kind, VersionTag::Vista, scale.txns(kind), PAPER_DB).1
+        let txns = scale.txns(kind);
+        cluster_tps_and_traffic(kind, txns, passive(VersionTag::Vista, PAPER_DB)).1
     });
     let mut out = [TrafficMib::default(); 2];
     for (i, &traffic) in res.iter().enumerate() {
@@ -314,7 +311,8 @@ pub fn table4_and_5(scale: RunScale) -> [[(f64, TrafficMib); 4]; 2] {
     let nv = VersionTag::ALL.len();
     let res = par_cells(2 * nv, |i| {
         let kind = WorkloadKind::ALL[i / nv];
-        passive_tps_and_traffic(kind, VersionTag::ALL[i % nv], scale.txns(kind), PAPER_DB)
+        let version = VersionTag::ALL[i % nv];
+        cluster_tps_and_traffic(kind, scale.txns(kind), passive(version, PAPER_DB))
     });
     let mut out = [[(0.0, TrafficMib::default()); 4]; 2];
     for (i, &cell) in res.iter().enumerate() {
@@ -329,9 +327,9 @@ pub fn table6_and_7(scale: RunScale) -> [[(f64, TrafficMib); 2]; 2] {
         let kind = WorkloadKind::ALL[i / 2];
         let txns = scale.txns(kind);
         if i % 2 == 0 {
-            passive_tps_and_traffic(kind, VersionTag::ImprovedLog, txns, PAPER_DB)
+            cluster_tps_and_traffic(kind, txns, passive(VersionTag::ImprovedLog, PAPER_DB))
         } else {
-            active_tps_and_traffic(kind, txns, PAPER_DB)
+            cluster_tps_and_traffic(kind, txns, active(PAPER_DB))
         }
     });
     let mut out = [[(0.0, TrafficMib::default()); 2]; 2];
@@ -346,7 +344,7 @@ pub fn table8(scale: RunScale) -> [[f64; 3]; 2] {
     let sizes = [10 * MIB, 100 * MIB, 1024 * MIB];
     let res = par_cells(2 * sizes.len(), |i| {
         let kind = WorkloadKind::ALL[i / sizes.len()];
-        active_tps_and_traffic(kind, scale.txns(kind), sizes[i % sizes.len()]).0
+        cluster_tps_and_traffic(kind, scale.txns(kind), active(sizes[i % sizes.len()])).0
     });
     let mut out = [[0.0; 3]; 2];
     for (i, &tps) in res.iter().enumerate() {

@@ -5,10 +5,10 @@
 //! * [`paper`] — the published numbers, transcribed.
 //! * [`Comparison`] — paper-vs-measured table rendering.
 //!
-//! Run the whole evaluation with `cargo bench -p dsnrep-bench` (each
-//! `benches/` target regenerates one table or figure), or
-//! `cargo run --release -p dsnrep-bench --bin reproduce` for the full
-//! report in one pass. `DSNREP_TXNS` scales the run lengths.
+//! Run the whole evaluation with
+//! `cargo run --release -p dsnrep-bench --bin reproduce`, which prints
+//! every table and figure in one pass. `DSNREP_TXNS` scales the run
+//! lengths.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,7 +12,7 @@ use dsnrep_obs::{
     AttributionTree, ClockAttribution, CriticalPathReport, FlightRecorder, Metric, Phase,
     TimeSeries, TraceEventKind, TraceSummary, Tracer, TRACK_BACKUP, TRACK_PRIMARY,
 };
-use dsnrep_repl::{ActiveCluster, PassiveCluster};
+use dsnrep_repl::{ActiveCluster, Cluster, PassiveCluster, Recovery};
 use dsnrep_simcore::{NodeId, Periodic, Scheduler, StallCause, VirtualDuration, VirtualInstant};
 use dsnrep_workloads::{ThroughputReport, WorkloadKind};
 
@@ -423,93 +423,65 @@ pub fn traced_run_on(
     recorder.set_track_name(TRACK_PRIMARY, "primary");
     recorder.set_track_name(TRACK_BACKUP, "backup");
     let config = EngineConfig::for_db(db_len);
-    let version = scheme.version();
-
-    let (tps, primary_stats, backup_stats, recovery_picos, audit_result) = match scheme {
+    match scheme {
         TracedScheme::Passive(version) => {
-            let mut cluster =
-                PassiveCluster::new_traced(costs(), version, &config, recorder.clone());
-            let mut workload = kind.build_traced(cluster.engine().db_region(), SEED);
-            let run_start = cluster.machine().now();
-            drive_sampled(&recorder, txns, run_start, || {
-                cluster.run_txn(workload.as_mut());
-                cluster.machine().now()
-            });
-            let report = ThroughputReport {
-                txns,
-                elapsed: cluster.machine().now().duration_since(run_start),
-            };
-            let primary_stats = cluster.machine().stats();
-            if crash {
-                let mut failover = cluster.crash_primary();
-                let mut post_workload = kind.build_traced(failover.engine.db_region(), SEED);
-                let post_start = failover.machine.now();
-                drive_sampled(&recorder, post_txns, post_start, || {
-                    failover.run_txn(post_workload.as_mut());
-                    failover.machine.now()
-                });
-                let backup_stats = failover.machine.stats();
-                let result = audit(version, &failover.machine.arena().borrow());
-                (
-                    report.tps(),
-                    primary_stats,
-                    Some(backup_stats),
-                    Some(failover.recovery_time.as_picos()),
-                    result,
-                )
-            } else {
-                cluster.quiesce();
-                let primary_stats = cluster.machine().stats();
-                let result = audit(version, &cluster.machine().arena().borrow());
-                (report.tps(), primary_stats, None, None, result)
-            }
+            let cluster = PassiveCluster::new_traced(costs(), version, &config, recorder.clone());
+            traced_cluster_run(cluster, recorder, scheme, kind, txns, crash, post_txns)
         }
         TracedScheme::Active => {
-            let mut cluster = ActiveCluster::new_traced(costs(), &config, recorder.clone());
-            let mut workload = kind.build_traced(cluster.db_region(), SEED);
-            let run_start = cluster.machine().now();
-            drive_sampled(&recorder, txns, run_start, || {
-                cluster.run_txn(workload.as_mut());
-                cluster.machine().now()
-            });
-            let report = ThroughputReport {
-                txns,
-                elapsed: cluster.machine().now().duration_since(run_start),
-            };
-            if crash {
-                let primary_stats = cluster.machine().stats();
-                let mut failover = cluster
-                    .crash_primary()
-                    .expect("backup arena carries the replicated layout");
-                let mut post_workload = kind.build_traced(failover.engine.db_region(), SEED);
-                let post_start = failover.machine.now();
-                drive_sampled(&recorder, post_txns, post_start, || {
-                    failover.run_txn(post_workload.as_mut());
-                    failover.machine.now()
-                });
-                let backup_stats = failover.machine.stats();
-                let result = audit(version, &failover.machine.arena().borrow());
-                (
-                    report.tps(),
-                    primary_stats,
-                    Some(backup_stats),
-                    Some(failover.recovery_time.as_picos()),
-                    result,
-                )
-            } else {
-                cluster.settle();
-                let primary_stats = cluster.machine().stats();
-                let backup_stats = cluster.backup_stats();
-                let result = audit(version, &cluster.machine().arena().borrow());
-                (
-                    report.tps(),
-                    primary_stats,
-                    Some(backup_stats),
-                    None,
-                    result,
-                )
-            }
+            let cluster = ActiveCluster::new_traced(costs(), &config, recorder.clone());
+            traced_cluster_run(cluster, recorder, scheme, kind, txns, crash, post_txns)
         }
+    }
+}
+
+/// The body of [`traced_run_on`] for any cluster driver: runs `txns`
+/// sampled transactions on `cluster`, then either crashes the primary,
+/// recovers the successor and runs `post_txns` on it, or quiesces; audits
+/// the arena that ends up serving and builds every conservation-checked
+/// artifact.
+fn traced_cluster_run<C: Cluster<FlightRecorder>>(
+    mut cluster: C,
+    recorder: FlightRecorder,
+    scheme: TracedScheme,
+    kind: WorkloadKind,
+    txns: u64,
+    crash: bool,
+    post_txns: u64,
+) -> TracedRun {
+    let version = scheme.version();
+    let mut workload = kind.build_traced(cluster.db_region(), SEED);
+    let run_start = cluster.machine().now();
+    drive_sampled(&recorder, txns, run_start, || {
+        cluster.run_txn(workload.as_mut());
+        cluster.machine().now()
+    });
+    let tps = ThroughputReport {
+        txns,
+        elapsed: cluster.machine().now().duration_since(run_start),
+    }
+    .tps();
+    let (primary_stats, backup_stats, recovery_picos, audit_result) = if crash {
+        let primary_stats = cluster.machine().stats();
+        let (_, takeover) = cluster.begin_takeover();
+        let mut failover = takeover
+            .recover()
+            .expect("backup arena carries the replicated layout");
+        let mut post_workload = kind.build_traced(failover.engine.db_region(), SEED);
+        let post_start = failover.machine.now();
+        drive_sampled(&recorder, post_txns, post_start, || {
+            failover.run_txn(post_workload.as_mut());
+            failover.machine.now()
+        });
+        let backup_stats = failover.machine.stats();
+        let result = audit(version, &failover.machine.arena().borrow());
+        let recovery = Some(failover.recovery_time.as_picos());
+        (primary_stats, Some(backup_stats), recovery, result)
+    } else {
+        cluster.quiesce();
+        let primary_stats = cluster.machine().stats();
+        let result = audit(version, &cluster.machine().arena().borrow());
+        (primary_stats, cluster.backup_stats(), None, result)
     };
 
     let violation = match audit_result {

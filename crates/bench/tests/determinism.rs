@@ -217,42 +217,6 @@ fn stall_breakdown_sums_to_total_stall() {
     }
 }
 
-/// The batched store pipeline is a host-speed optimization only: forcing
-/// every store back through the legacy per-op path (the test-only
-/// `Machine::set_per_op_stores` switch, also reachable via
-/// `DSNREP_STORE_PATH=per-op`) must reproduce the batched run's TPS
-/// (bit-identical), packet counts, and per-class byte counts — at more
-/// than one scale, since batch boundaries shift with transaction count.
-#[test]
-fn per_op_and_batched_store_paths_agree() {
-    for txns in [100u64, 400] {
-        let run = |per_op: bool| {
-            let config = EngineConfig::for_db(10 * MIB);
-            let mut cluster =
-                PassiveCluster::new(CostModel::alpha_21164a(), VersionTag::ImprovedLog, &config);
-            cluster.machine_mut().set_per_op_stores(per_op);
-            let db = cluster.engine().db_region();
-            let mut workload = WorkloadKind::DebitCredit.build(db, 42);
-            let report = cluster.run(workload.as_mut(), txns);
-            cluster.quiesce();
-            let stats = cluster.machine().stats();
-            let backup = cluster.backup_arena().borrow().read_vec(db.start(), 4096);
-            (report.tps(), cluster.traffic(), stats, backup)
-        };
-        let batched = run(false);
-        let legacy = run(true);
-        assert_eq!(
-            batched.0.to_bits(),
-            legacy.0.to_bits(),
-            "TPS diverged between store paths at {txns} txns"
-        );
-        assert_eq!(
-            batched, legacy,
-            "batched and per-op store paths diverged at {txns} txns"
-        );
-    }
-}
-
 #[test]
 fn smp_report_is_deterministic() {
     let run = || {

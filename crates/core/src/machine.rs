@@ -182,10 +182,6 @@ pub struct Machine<T: Tracer = NullTracer> {
     /// Monotone count of accounted stores, so fault campaigns can
     /// enumerate every store boundary of a probe run.
     stores_executed: u64,
-    /// Test-only: forces [`Machine::write_batch`] to replay its stores
-    /// through the per-op [`Machine::write`] path, so equivalence tests can
-    /// drive the same scenario down both paths.
-    per_op_stores: bool,
     tracer: T,
     track: u32,
     /// The transaction currently being traced (set by
@@ -257,7 +253,6 @@ impl<T: Tracer> Machine<T> {
             durability: Durability::OneSafe,
             store_budget: None,
             stores_executed: 0,
-            per_op_stores: std::env::var_os("DSNREP_STORE_PATH").is_some_and(|v| v == "per-op"),
             tracer,
             track,
             tx_open: None,
@@ -445,11 +440,6 @@ impl<T: Tracer> Machine<T> {
         self.store_budget = Some(stores);
     }
 
-    /// Whether the injected fault has fired.
-    pub fn has_halted(&self) -> bool {
-        self.store_budget == Some(0)
-    }
-
     /// Disarms fault injection.
     pub fn clear_fault(&mut self) {
         self.store_budget = None;
@@ -459,18 +449,23 @@ impl<T: Tracer> Machine<T> {
     fn consume_store_budget(&mut self) {
         match &mut self.store_budget {
             None => {}
-            Some(0) => {
-                self.tracer.instant(
-                    self.track,
-                    TraceEventKind::FaultInjected,
-                    self.clock.now(),
-                    self.stores_executed,
-                );
-                panic!("dsnrep fault injection: simulated processor halt")
-            }
+            Some(0) => self.halt(),
             Some(n) => *n -= 1,
         }
         self.stores_executed += 1;
+    }
+
+    /// The armed store budget ran out: the simulated processor halts at
+    /// this store boundary.
+    #[cold]
+    fn halt(&mut self) -> ! {
+        self.tracer.instant(
+            self.track,
+            TraceEventKind::FaultInjected,
+            self.clock.now(),
+            self.stores_executed,
+        );
+        panic!("dsnrep fault injection: simulated processor halt")
     }
 
     /// Accounted stores executed so far (monotone).
@@ -490,11 +485,6 @@ impl<T: Tracer> Machine<T> {
         if let Some(port) = self.port.as_mut() {
             port.inject_crash_after_packets(packets);
         }
-    }
-
-    /// Whether an armed packet-boundary fault has fired.
-    pub fn has_packet_halted(&self) -> bool {
-        self.port.as_ref().is_some_and(|p| p.has_packet_halted())
     }
 
     /// Disarms any packet-boundary fault on the port.
@@ -531,17 +521,6 @@ impl<T: Tracer> Machine<T> {
         }
     }
 
-    /// Test-only: when `true`, [`Machine::write_batch`] replays its staged
-    /// stores through the per-op [`Machine::write`] path instead of the
-    /// batched one. The two paths are virtual-time identical (the
-    /// determinism suite drives full scenarios down both); this switch
-    /// exists so those tests — and bisection of any future divergence —
-    /// can select a path explicitly. Also settable for a whole process via
-    /// the `DSNREP_STORE_PATH=per-op` environment variable.
-    pub fn set_per_op_stores(&mut self, per_op: bool) {
-        self.per_op_stores = per_op;
-    }
-
     /// Applies a staged batch of accounted stores as if each had been
     /// issued through [`Machine::write`], then clears the batch.
     ///
@@ -556,25 +535,28 @@ impl<T: Tracer> Machine<T> {
     /// packet sequences, and arena contents are bit-identical to issuing
     /// the same stores one by one.
     ///
-    /// When a store-budget fault is armed (or the per-op switch is set)
-    /// the batch falls back to the per-op path, so an injected halt lands
-    /// between the same two stores with the same delivered prefix as the
-    /// legacy path.
+    /// An armed store budget that runs out inside the batch halts it
+    /// between the same two stores as [`Machine::write`] would: the spans
+    /// before the halt are applied, delivery is drained to the halt
+    /// instant (what the per-store drain had delivered by then), and the
+    /// processor halts.
     pub fn write_batch(&mut self, batch: &mut StoreBatch) {
-        if self.per_op_stores || self.store_budget.is_some() {
-            for op in &batch.ops {
-                let bytes = &batch.data[op.off as usize..(op.off + op.len) as usize];
-                self.write(op.addr, bytes, op.class);
-            }
-            batch.clear();
-            return;
-        }
+        let mut halted = false;
         {
             let mut arena = self.arena.borrow_mut();
             let mut port = self.port.as_mut();
             for op in &batch.ops {
                 let bytes = &batch.data[op.off as usize..(op.off + op.len) as usize];
-                // consume_store_budget() with no budget armed:
+                // consume_store_budget(), deferring a halt until the arena
+                // borrow is released and delivery drained:
+                match &mut self.store_budget {
+                    None => {}
+                    Some(0) => {
+                        halted = true;
+                        break;
+                    }
+                    Some(n) => *n -= 1,
+                }
                 self.stores_executed += 1;
                 // charge_cache(), inlined to keep the borrows field-disjoint:
                 let out = self.cache.touch(op.addr, u64::from(op.len));
@@ -600,6 +582,9 @@ impl<T: Tracer> Machine<T> {
         }
         if let Some(port) = self.port.as_mut() {
             port.deliver_up_to(self.clock.now());
+        }
+        if halted {
+            self.halt();
         }
         batch.clear();
     }
@@ -908,6 +893,7 @@ mod tests {
     mod batch_equivalence {
         use super::*;
         use proptest::prelude::*;
+        use std::panic::{self, AssertUnwindSafe};
 
         #[derive(Clone, Debug)]
         enum Op {
@@ -951,52 +937,80 @@ mod tests {
             (batched, batched_backup, per_op, per_op_backup)
         }
 
+        fn data(addr: u64, len: usize) -> Vec<u8> {
+            (0..len)
+                .map(|i| (addr as u8).wrapping_add(i as u8))
+                .collect()
+        }
+
+        /// Applies `op` to `m`, batches through `write_batch` when
+        /// `batched` and through a loop of `Machine::write` otherwise.
+        /// Returns `true` if an armed store budget halted the machine.
+        fn apply(m: &mut Machine, op: &Op, batched: bool) -> bool {
+            let run = panic::catch_unwind(AssertUnwindSafe(|| match op {
+                Op::Batch(stores) if batched => {
+                    let mut batch = StoreBatch::new();
+                    for &(addr, len, class) in stores {
+                        batch.push(Addr::new(addr), &data(addr, len), class_of(class));
+                    }
+                    m.write_batch(&mut batch);
+                }
+                Op::Batch(stores) => {
+                    for &(addr, len, class) in stores {
+                        m.write(Addr::new(addr), &data(addr, len), class_of(class));
+                    }
+                }
+                Op::Single(addr, len, class) => {
+                    m.write(Addr::new(*addr), &data(*addr, *len), class_of(*class));
+                }
+                Op::Barrier => m.barrier(),
+            }));
+            match run {
+                Ok(()) => false,
+                Err(payload) => {
+                    let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+                    assert!(msg.contains("fault injection"), "unexpected panic: {msg}");
+                    true
+                }
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// `write_batch` is bit-identical to issuing the same stores
             /// one by one: clocks, cache statistics, store counters, both
             /// arenas. The per-op twin drives the identical schedule
-            /// through `Machine::write`.
+            /// through `Machine::write`. With a store budget armed, both
+            /// halt at the same store with the same clock, primary image
+            /// and delivered backup image.
             #[test]
             fn write_batch_matches_per_op_stores(
                 ops in prop::collection::vec(op_strategy(), 1..40),
+                budget in prop_oneof![1 => Just(None), 2 => (0u64..160).prop_map(Some)],
             ) {
                 let (mut fast, fast_backup, mut oracle, oracle_backup) = machine_pair();
-                for op in &ops {
-                    match op {
-                        Op::Batch(stores) => {
-                            let mut batch = StoreBatch::new();
-                            for &(addr, len, class) in stores {
-                                let data: Vec<u8> = (0..len)
-                                    .map(|i| (addr as u8).wrapping_add(i as u8))
-                                    .collect();
-                                batch.push(Addr::new(addr), &data, class_of(class));
-                            }
-                            fast.write_batch(&mut batch);
-                            for &(addr, len, class) in stores {
-                                let data: Vec<u8> = (0..len)
-                                    .map(|i| (addr as u8).wrapping_add(i as u8))
-                                    .collect();
-                                oracle.write(Addr::new(addr), &data, class_of(class));
-                            }
-                        }
-                        Op::Single(addr, len, class) => {
-                            let data: Vec<u8> = (0..*len)
-                                .map(|i| (*addr as u8).wrapping_add(i as u8))
-                                .collect();
-                            fast.write(Addr::new(*addr), &data, class_of(*class));
-                            oracle.write(Addr::new(*addr), &data, class_of(*class));
-                        }
-                        Op::Barrier => {
-                            fast.barrier();
-                            oracle.barrier();
-                        }
-                    }
-                    prop_assert_eq!(fast.now(), oracle.now());
+                if let Some(stores) = budget {
+                    fast.inject_crash_after_stores(stores);
+                    oracle.inject_crash_after_stores(stores);
                 }
-                fast.quiesce();
-                oracle.quiesce();
+                let mut halted = false;
+                for op in &ops {
+                    let oracle_halted = apply(&mut oracle, op, false);
+                    prop_assert_eq!(apply(&mut fast, op, true), oracle_halted);
+                    prop_assert_eq!(fast.now(), oracle.now());
+                    prop_assert_eq!(fast.stores_executed(), oracle.stores_executed());
+                    if oracle_halted {
+                        halted = true;
+                        break;
+                    }
+                }
+                // A halted machine stays as the crash left it: the backup
+                // holds only what was delivered by the halt instant.
+                if !halted {
+                    fast.quiesce();
+                    oracle.quiesce();
+                }
                 prop_assert_eq!(fast.now(), oracle.now());
                 prop_assert_eq!(fast.stats(), oracle.stats());
                 prop_assert_eq!(fast.stores_executed(), oracle.stores_executed());

@@ -20,14 +20,17 @@ use dsnrep_cluster::{
     takeover_timeline_with_faults, HeartbeatConfig, HeartbeatFaults, NodeId, TakeoverTimeline,
     ViewManager,
 };
-use dsnrep_core::{arena_len, attach_engine, build_engine, Durability, EngineConfig, Machine};
+use dsnrep_core::{
+    arena_len, attach_engine, build_engine, Durability, Engine, EngineConfig, Machine, VersionTag,
+};
+use dsnrep_mcsim::Traffic;
 use dsnrep_obs::NullTracer;
 use dsnrep_repl::{
-    modeled_pairs, ActiveCluster, ActiveTakeover, Failover, PassiveCluster, ReplicaSet, Takeover,
+    modeled_pairs, ActiveCluster, Cluster, Failover, PassiveCluster, Recovery, ReplicaSet,
 };
-use dsnrep_rio::{Arena, Layout, RegionId};
+use dsnrep_rio::{Arena, Layout, LayoutError, RegionId};
 use dsnrep_simcore::{CostModel, Region, VirtualDuration, VirtualInstant};
-use dsnrep_workloads::TxCtx;
+use dsnrep_workloads::{TxCtx, Workload};
 
 use crate::oracle::Reference;
 use crate::plan::{FaultPlan, FaultSite, PlanError};
@@ -292,12 +295,360 @@ pub fn execute_against(
 ) -> Result<Outcome, PlanError> {
     check_plan(scenario, plan)?;
     silence_fault_panics();
+    let run = Run {
+        scenario,
+        plan,
+        reference,
+        mutation,
+        contract: Contract::of(scenario),
+    };
+    let costs = CostModel::alpha_21164a();
+    let config = EngineConfig::for_db(scenario.db_len);
     Ok(match scenario.driver {
-        Driver::Standalone => run_standalone(scenario, plan, reference, mutation),
-        Driver::Passive => run_passive(scenario, plan, reference, mutation),
-        Driver::Active => run_active(scenario, plan, reference, mutation),
-        Driver::Chain | Driver::Quorum => run_replica_set(scenario, plan, reference, mutation),
+        Driver::Standalone => run.execute(Standalone::new(costs, scenario.version, &config)),
+        Driver::Passive => run.execute(PassiveCluster::new(costs, scenario.version, &config)),
+        Driver::Active => {
+            let mut cluster = ActiveCluster::new(costs, &config);
+            if scenario.two_safe {
+                cluster.set_durability(Durability::TwoSafe);
+            }
+            run.execute(cluster)
+        }
+        Driver::Chain | Driver::Quorum => {
+            let topology = scenario
+                .topology()
+                .expect("chain/quorum drivers have a topology")
+                .expect("check_plan validated the topology");
+            let mut set = ReplicaSet::new(costs, scenario.version, &config, topology);
+            for (from, to, ps) in plan.partition_delays() {
+                set.partition_delay(from, to, VirtualDuration::from_picos(ps));
+            }
+            for (from, to, n) in plan.partition_drops() {
+                set.partition_drop_after(from, to, n);
+            }
+            run.execute(set)
+        }
     })
+}
+
+/// 1-safe replication may lose the in-flight tail; more than this many
+/// transactions behind the primary is a bug (matches the bound the
+/// failover property tests have always enforced).
+const LOSS_BOUND: u64 = 64;
+
+/// What a driver promises about the state its recovery produces.
+#[derive(Clone, Copy, Debug)]
+struct Contract {
+    /// The recovered image may differ from the oracle inside the torn
+    /// tail of the in-flight window (write doubling ships stores, not
+    /// transactions: a 1-safe backup can hold part of one).
+    torn_tail: bool,
+    /// How many committed transactions recovery may lose. `None`: none,
+    /// and falling behind is a [`Violation::SequenceDrift`] (local
+    /// recovery, and chain/quorum heads that commit 2-safe toward their
+    /// successor); `Some(n)`: more than `n` is a
+    /// [`Violation::ExcessiveLoss`].
+    max_loss: Option<u64>,
+    /// A takeover crosses the cluster's heartbeat detection, so the
+    /// failover timeline is checked too.
+    timeline: bool,
+}
+
+impl Contract {
+    fn of(scenario: &Scenario) -> Self {
+        let driver = scenario.driver;
+        Contract {
+            // The active backup applies whole publications and a
+            // standalone node recovers its own image: neither is torn.
+            torn_tail: matches!(driver, Driver::Passive | Driver::Chain | Driver::Quorum),
+            max_loss: match driver {
+                Driver::Active if scenario.two_safe => Some(0),
+                Driver::Passive | Driver::Active => Some(LOSS_BOUND - 1),
+                Driver::Standalone | Driver::Chain | Driver::Quorum => None,
+            },
+            timeline: driver != Driver::Standalone,
+        }
+    }
+
+    /// Checks a recovered sequence against the `committed` count: at most
+    /// the in-flight transaction may have committed past it, and at most
+    /// `max_loss` may be missing.
+    fn check_loss(&self, recovered: u64, committed: u64) -> Option<Violation> {
+        let lost = committed.saturating_sub(recovered);
+        if recovered > committed + 1 || (lost > 0 && self.max_loss.is_none()) {
+            Some(Violation::SequenceDrift {
+                recovered,
+                committed,
+            })
+        } else if self.max_loss.is_some_and(|max| lost > max) {
+            Some(Violation::ExcessiveLoss {
+                recovered,
+                committed,
+            })
+        } else {
+            None
+        }
+    }
+}
+
+/// One plan execution: everything the runner needs besides the cluster.
+struct Run<'a> {
+    scenario: &'a Scenario,
+    plan: &'a FaultPlan,
+    reference: &'a Reference,
+    mutation: Option<Mutation>,
+    contract: Contract,
+}
+
+impl Run<'_> {
+    /// Runs the workload on `cluster`, crashing it where the plan says,
+    /// then checks the graceful image or drives recovery and checks the
+    /// failover against the driver's contract.
+    fn execute<C: Cluster>(&self, mut cluster: C) -> Outcome {
+        let (scenario, plan) = (self.scenario, self.plan);
+        let mut out = Outcome::new(scenario, plan);
+        let db = cluster.db_region();
+        let mut workload = scenario.workload.build(db, scenario.seed);
+
+        let site = plan.primary_crash();
+        match site {
+            Some(FaultSite::Store(n)) => cluster.machine_mut().inject_crash_after_stores(n),
+            Some(FaultSite::Packet(n)) => cluster.machine_mut().inject_crash_after_packets(n),
+            _ => {}
+        }
+        let crash_txn = match site {
+            Some(FaultSite::Txn(n)) => Some(n),
+            _ => None,
+        };
+        let stores_before = cluster.machine().stores_executed();
+        let packets_before = cluster.machine().packets_emitted();
+        let ok = run_txn_loop(&mut out, scenario.txns, crash_txn, || {
+            cluster.run_txn(workload.as_mut());
+        });
+        out.stores = cluster.machine().stores_executed() - stores_before;
+        out.packets = cluster.machine().packets_emitted() - packets_before;
+        if !ok {
+            return out;
+        }
+
+        if site.is_none() {
+            self.check_graceful(&mut out, cluster, db);
+            return out;
+        }
+
+        cluster.machine_mut().clear_fault();
+        cluster.machine_mut().clear_packet_fault();
+        out.degraded = cluster.degraded_commits();
+        let (crashed_at, takeover) = cluster.begin_takeover();
+        let Some(failover) = self.recover(&mut out, takeover) else {
+            return out;
+        };
+        out.recovered = failover.report.committed_seq;
+        out.violation = self.contract.check_loss(out.recovered, out.committed);
+        if out.violation.is_none() {
+            let arena = Rc::clone(failover.machine.arena());
+            let (seq, torn) = (out.recovered, self.contract.torn_tail);
+            check_image(&mut out, self.reference, &arena, db, seq, torn);
+        }
+        if out.violation.is_none() && self.contract.timeline {
+            let recovery = failover.recovery_time;
+            check_timeline(&mut out, plan, crashed_at, recovery, scenario.rf);
+        }
+        out
+    }
+
+    /// A failure-free run: after quiesce, the replicas hold exactly the
+    /// oracle's image at the committed sequence.
+    fn check_graceful<C: Cluster>(&self, out: &mut Outcome, mut cluster: C, db: Region) {
+        cluster.quiesce();
+        out.degraded = cluster.degraded_commits();
+        out.recovered = cluster.applied_seq().unwrap_or(out.committed);
+        if out.recovered != self.scenario.txns {
+            out.violation = Some(Violation::SequenceDrift {
+                recovered: out.recovered,
+                committed: out.committed,
+            });
+            return;
+        }
+        // A partition only guarantees the 2-safe target (the first
+        // replica); without one, every replica converges.
+        let arenas = cluster.replica_arenas();
+        let checked = if self.plan.partition_pairs().is_empty() {
+            arenas.len()
+        } else {
+            1
+        };
+        for arena in &arenas[..checked] {
+            check_image(out, self.reference, arena, db, out.recovered, false);
+            if out.violation.is_some() {
+                break;
+            }
+        }
+    }
+
+    /// Drives `takeover`'s recovery to completion, crashing it at each of
+    /// the plan's recovery-write budgets and resuming over the surviving
+    /// arena, then running it once more unarmed. Returns `None` (with the
+    /// violation recorded) if recovery broke for a reason other than an
+    /// injected halt.
+    fn recover<R: Recovery>(&self, out: &mut Outcome, mut takeover: R) -> Option<Failover> {
+        let mut budgets = self.plan.recovery_crashes().into_iter();
+        loop {
+            let budget = budgets.next();
+            let arena = takeover.arena();
+            let at = takeover.now();
+            apply_mutation(self.mutation, &arena);
+            let writes_before = arena.borrow().writes();
+            if let Some(budget) = budget {
+                arena.borrow_mut().inject_halt_after_writes(budget);
+            }
+            let result = run_caught(move || takeover.recover());
+            if budget.is_some() {
+                arena.borrow_mut().clear_halt();
+            }
+            let msg = match result {
+                Ok(Ok(failover)) => {
+                    out.recovery_writes = arena.borrow().writes() - writes_before;
+                    return Some(failover);
+                }
+                Ok(Err(e)) => format!("backup layout unreadable: {e}"),
+                Err(msg) if budget.is_some() && is_fault(&msg) => {
+                    out.faults_fired += 1;
+                    let costs = CostModel::alpha_21164a();
+                    match R::resume(self.scenario.version, costs, arena, NullTracer, at) {
+                        Ok(resumed) => {
+                            takeover = resumed;
+                            continue;
+                        }
+                        Err(e) => format!("mid-recovery halt corrupted the layout: {e}"),
+                    }
+                }
+                Err(msg) => msg,
+            };
+            out.violation = Some(Violation::UnexpectedPanic(msg));
+            return None;
+        }
+    }
+}
+
+/// A single node with no replication, as a [`Cluster`] whose only
+/// "replica" is its own arena and whose takeover recovers in place.
+struct Standalone {
+    version: VersionTag,
+    costs: CostModel,
+    machine: Machine,
+    engine: Box<dyn Engine>,
+}
+
+impl Standalone {
+    fn new(costs: CostModel, version: VersionTag, config: &EngineConfig) -> Self {
+        let arena = dsnrep_core::shared_arena(arena_len(version, config));
+        let mut machine = Machine::standalone(costs.clone(), arena);
+        let engine = build_engine(version, &mut machine, config);
+        Standalone {
+            version,
+            costs,
+            machine,
+            engine,
+        }
+    }
+}
+
+impl Cluster for Standalone {
+    type Takeover = InPlace;
+
+    fn machine(&self) -> &Machine {
+        &self.machine
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine {
+        &mut self.machine
+    }
+
+    fn db_region(&self) -> Region {
+        self.engine.db_region()
+    }
+
+    fn run_txn(&mut self, workload: &mut dyn Workload) {
+        let mut ctx = TxCtx::new(&mut self.machine, self.engine.as_mut());
+        if let Err(e) = workload.run_txn(&mut ctx) {
+            panic!("engine error: {e:?}");
+        }
+    }
+
+    fn quiesce(&mut self) {}
+
+    fn traffic(&self) -> Traffic {
+        Traffic::default()
+    }
+
+    /// What the node's own roots say it committed.
+    fn applied_seq(&mut self) -> Option<u64> {
+        Some(self.engine.committed_seq(&mut self.machine))
+    }
+
+    fn replica_arenas(&self) -> Vec<Rc<RefCell<Arena>>> {
+        vec![Rc::clone(self.machine.arena())]
+    }
+
+    fn begin_takeover(mut self) -> (VirtualInstant, InPlace) {
+        let at = self.machine.crash();
+        let takeover = InPlace {
+            version: self.version,
+            costs: self.costs,
+            arena: Rc::clone(self.machine.arena()),
+            at,
+        };
+        (at, takeover)
+    }
+}
+
+/// A crashed standalone node about to recover over its own arena: each
+/// attempt is a fresh (cold-cache) machine at the crash instant.
+struct InPlace {
+    version: VersionTag,
+    costs: CostModel,
+    arena: Rc<RefCell<Arena>>,
+    at: VirtualInstant,
+}
+
+impl Recovery for InPlace {
+    fn arena(&self) -> Rc<RefCell<Arena>> {
+        Rc::clone(&self.arena)
+    }
+
+    fn now(&self) -> VirtualInstant {
+        self.at
+    }
+
+    fn recover(self) -> Result<Failover, LayoutError> {
+        let mut machine = Machine::standalone(self.costs, self.arena);
+        machine.clock_mut().advance_to(self.at);
+        let mut engine = attach_engine(self.version, &mut machine);
+        let report = engine.recover(&mut machine);
+        let recovery_time = machine.now().duration_since(self.at);
+        Ok(Failover {
+            machine,
+            engine,
+            report,
+            recovery_time,
+        })
+    }
+
+    fn resume(
+        version: VersionTag,
+        costs: CostModel,
+        arena: Rc<RefCell<Arena>>,
+        _tracer: NullTracer,
+        at: VirtualInstant,
+    ) -> Result<Self, LayoutError> {
+        Ok(InPlace {
+            version,
+            costs,
+            arena,
+            at,
+        })
+    }
 }
 
 /// Runs the workload loop, halting at the plan's transaction boundary or
@@ -306,18 +657,14 @@ fn run_txn_loop(
     out: &mut Outcome,
     txns: u64,
     crash_txn: Option<u64>,
-    mut one_txn: impl FnMut() -> Result<(), dsnrep_core::TxError>,
+    mut one_txn: impl FnMut(),
 ) -> bool {
     while out.committed < txns {
         if crash_txn == Some(out.committed) {
             return true;
         }
         match run_caught(&mut one_txn) {
-            Ok(Ok(())) => out.committed += 1,
-            Ok(Err(e)) => {
-                out.violation = Some(Violation::UnexpectedPanic(format!("engine error: {e:?}")));
-                return false;
-            }
+            Ok(()) => out.committed += 1,
             Err(msg) if is_fault(&msg) => {
                 out.faults_fired += 1;
                 return true;
@@ -400,565 +747,4 @@ fn check_timeline(
             timeline.detected_at, crashed_at
         )));
     }
-}
-
-fn run_standalone(
-    scenario: &Scenario,
-    plan: &FaultPlan,
-    reference: &Reference,
-    mutation: Option<Mutation>,
-) -> Outcome {
-    let mut out = Outcome::new(scenario, plan);
-    let costs = CostModel::alpha_21164a();
-    let config = EngineConfig::for_db(scenario.db_len);
-    let arena = dsnrep_core::shared_arena(arena_len(scenario.version, &config));
-    let mut m = Machine::standalone(costs.clone(), Rc::clone(&arena));
-    let mut engine = build_engine(scenario.version, &mut m, &config);
-    let db = engine.db_region();
-    let mut workload = scenario.workload.build(db, scenario.seed);
-
-    let site = plan.primary_crash();
-    if let Some(FaultSite::Store(n)) = site {
-        m.inject_crash_after_stores(n);
-    }
-    let crash_txn = match site {
-        Some(FaultSite::Txn(n)) => Some(n),
-        _ => None,
-    };
-    let stores_before = m.stores_executed();
-    let ok = run_txn_loop(&mut out, scenario.txns, crash_txn, || {
-        let mut ctx = TxCtx::new(&mut m, engine.as_mut());
-        workload.run_txn(&mut ctx)
-    });
-    out.stores = m.stores_executed() - stores_before;
-    if !ok {
-        return out;
-    }
-
-    if site.is_none() {
-        out.recovered = engine.committed_seq(&mut m);
-        if out.recovered != scenario.txns {
-            out.violation = Some(Violation::SequenceDrift {
-                recovered: out.recovered,
-                committed: out.committed,
-            });
-            return out;
-        }
-        let seq = out.recovered;
-        check_image(&mut out, reference, &arena, db, seq, false);
-        return out;
-    }
-
-    // The primary is gone; recover in place over the surviving arena,
-    // crashing recovery itself as many times as the plan demands.
-    m.clear_fault();
-    m.crash();
-    let mut at = m.now();
-    drop(engine);
-    drop(m);
-    let recover_once = |at: VirtualInstant, arena: &Rc<RefCell<Arena>>| {
-        let mut rm = Machine::standalone(costs.clone(), Rc::clone(arena));
-        rm.clock_mut().advance_to(at);
-        let mut engine = attach_engine(scenario.version, &mut rm);
-        let report = engine.recover(&mut rm);
-        (report, rm.now())
-    };
-    let mut done = None;
-    for budget in plan.recovery_crashes() {
-        apply_mutation(mutation, &arena);
-        let writes_before = arena.borrow().writes();
-        arena.borrow_mut().inject_halt_after_writes(budget);
-        let result = run_caught(|| recover_once(at, &arena));
-        arena.borrow_mut().clear_halt();
-        match result {
-            Ok((report, t)) => {
-                out.recovery_writes = arena.borrow().writes() - writes_before;
-                at = t;
-                done = Some(report);
-                break;
-            }
-            Err(msg) if is_fault(&msg) => out.faults_fired += 1,
-            Err(msg) => {
-                out.violation = Some(Violation::UnexpectedPanic(msg));
-                return out;
-            }
-        }
-    }
-    let report = match done {
-        Some(report) => report,
-        None => {
-            apply_mutation(mutation, &arena);
-            let writes_before = arena.borrow().writes();
-            match run_caught(|| recover_once(at, &arena)) {
-                Ok((report, _)) => {
-                    out.recovery_writes = arena.borrow().writes() - writes_before;
-                    report
-                }
-                Err(msg) => {
-                    out.violation = Some(Violation::UnexpectedPanic(msg));
-                    return out;
-                }
-            }
-        }
-    };
-    out.recovered = report.committed_seq;
-    // Local recovery loses nothing: every completed transaction was
-    // durable, and at most the in-flight one may have committed after
-    // the loop's count was taken.
-    if out.recovered < out.committed || out.recovered > out.committed + 1 {
-        out.violation = Some(Violation::SequenceDrift {
-            recovered: out.recovered,
-            committed: out.committed,
-        });
-        return out;
-    }
-    let seq = out.recovered;
-    check_image(&mut out, reference, &arena, db, seq, false);
-    out
-}
-
-/// 1-safe replication may lose the in-flight tail; more than this many
-/// transactions behind the primary is a bug (matches the bound the
-/// failover property tests have always enforced).
-const LOSS_BOUND: u64 = 64;
-
-fn run_passive(
-    scenario: &Scenario,
-    plan: &FaultPlan,
-    reference: &Reference,
-    mutation: Option<Mutation>,
-) -> Outcome {
-    let mut out = Outcome::new(scenario, plan);
-    let costs = CostModel::alpha_21164a();
-    let config = EngineConfig::for_db(scenario.db_len);
-    let mut cluster = PassiveCluster::new(costs.clone(), scenario.version, &config);
-    let db = cluster.engine().db_region();
-    let mut workload = scenario.workload.build(db, scenario.seed);
-
-    let site = plan.primary_crash();
-    match site {
-        Some(FaultSite::Store(n)) => cluster.machine_mut().inject_crash_after_stores(n),
-        Some(FaultSite::Packet(n)) => cluster.machine_mut().inject_crash_after_packets(n),
-        _ => {}
-    }
-    let crash_txn = match site {
-        Some(FaultSite::Txn(n)) => Some(n),
-        _ => None,
-    };
-    let stores_before = cluster.machine().stores_executed();
-    let packets_before = cluster.machine().packets_emitted();
-    let ok = run_txn_loop(&mut out, scenario.txns, crash_txn, || {
-        cluster.run_txn(workload.as_mut());
-        Ok(())
-    });
-    out.stores = cluster.machine().stores_executed() - stores_before;
-    out.packets = cluster.machine().packets_emitted() - packets_before;
-    if !ok {
-        return out;
-    }
-
-    if site.is_none() {
-        cluster.quiesce();
-        out.recovered = out.committed;
-        let backup = Rc::clone(cluster.backup_arena());
-        let seq = out.recovered;
-        check_image(&mut out, reference, &backup, db, seq, false);
-        return out;
-    }
-
-    cluster.machine_mut().clear_fault();
-    cluster.machine_mut().clear_packet_fault();
-    let mut takeover = Some(cluster.begin_takeover(0));
-    let crashed_at = takeover.as_ref().map(Takeover::now).unwrap();
-    let mut failover: Option<Failover> = None;
-    for budget in plan.recovery_crashes() {
-        let t = takeover
-            .take()
-            .expect("the takeover survives until a failover exists");
-        let arena = t.arena();
-        let at = t.now();
-        apply_mutation(mutation, &arena);
-        let writes_before = arena.borrow().writes();
-        arena.borrow_mut().inject_halt_after_writes(budget);
-        let result = run_caught(move || t.recover());
-        arena.borrow_mut().clear_halt();
-        match result {
-            Ok(f) => {
-                out.recovery_writes = arena.borrow().writes() - writes_before;
-                failover = Some(f);
-                break;
-            }
-            Err(msg) if is_fault(&msg) => {
-                out.faults_fired += 1;
-                takeover = Some(Takeover::resume(
-                    scenario.version,
-                    costs.clone(),
-                    Rc::clone(&arena),
-                    NullTracer,
-                    at,
-                ));
-            }
-            Err(msg) => {
-                out.violation = Some(Violation::UnexpectedPanic(msg));
-                return out;
-            }
-        }
-    }
-    let failover = match failover {
-        Some(f) => f,
-        None => {
-            let t = takeover
-                .take()
-                .expect("no failover yet, so the takeover survived");
-            let arena = t.arena();
-            apply_mutation(mutation, &arena);
-            let writes_before = arena.borrow().writes();
-            match run_caught(move || t.recover()) {
-                Ok(f) => {
-                    out.recovery_writes = arena.borrow().writes() - writes_before;
-                    f
-                }
-                Err(msg) => {
-                    out.violation = Some(Violation::UnexpectedPanic(msg));
-                    return out;
-                }
-            }
-        }
-    };
-    out.recovered = failover.report.committed_seq;
-    if out.recovered > out.committed + 1 {
-        out.violation = Some(Violation::SequenceDrift {
-            recovered: out.recovered,
-            committed: out.committed,
-        });
-        return out;
-    }
-    if out.committed.saturating_sub(out.recovered) >= LOSS_BOUND {
-        out.violation = Some(Violation::ExcessiveLoss {
-            recovered: out.recovered,
-            committed: out.committed,
-        });
-        return out;
-    }
-    let arena = Rc::clone(failover.machine.arena());
-    let seq = out.recovered;
-    check_image(&mut out, reference, &arena, db, seq, true);
-    if out.violation.is_none() {
-        check_timeline(&mut out, plan, crashed_at, failover.recovery_time, 2);
-    }
-    out
-}
-
-fn run_active(
-    scenario: &Scenario,
-    plan: &FaultPlan,
-    reference: &Reference,
-    mutation: Option<Mutation>,
-) -> Outcome {
-    let mut out = Outcome::new(scenario, plan);
-    let costs = CostModel::alpha_21164a();
-    let config = EngineConfig::for_db(scenario.db_len);
-    let mut cluster = ActiveCluster::new(costs.clone(), &config);
-    if scenario.two_safe {
-        cluster.set_durability(Durability::TwoSafe);
-    }
-    let db = cluster.db_region();
-    let mut workload = scenario.workload.build(db, scenario.seed);
-
-    let site = plan.primary_crash();
-    match site {
-        Some(FaultSite::Store(n)) => cluster.machine_mut().inject_crash_after_stores(n),
-        Some(FaultSite::Packet(n)) => cluster.machine_mut().inject_crash_after_packets(n),
-        _ => {}
-    }
-    let crash_txn = match site {
-        Some(FaultSite::Txn(n)) => Some(n),
-        _ => None,
-    };
-    let stores_before = cluster.machine().stores_executed();
-    let packets_before = cluster.machine().packets_emitted();
-    let ok = run_txn_loop(&mut out, scenario.txns, crash_txn, || {
-        cluster.run_txn(workload.as_mut());
-        Ok(())
-    });
-    out.stores = cluster.machine().stores_executed() - stores_before;
-    out.packets = cluster.machine().packets_emitted() - packets_before;
-    if !ok {
-        return out;
-    }
-
-    if site.is_none() {
-        cluster.settle();
-        out.recovered = cluster.backup_applied_seq();
-        if out.recovered != scenario.txns {
-            out.violation = Some(Violation::SequenceDrift {
-                recovered: out.recovered,
-                committed: out.committed,
-            });
-            return out;
-        }
-        let backup = Rc::clone(cluster.backup_arena());
-        let seq = out.recovered;
-        check_image(&mut out, reference, &backup, db, seq, false);
-        return out;
-    }
-
-    cluster.machine_mut().clear_fault();
-    cluster.machine_mut().clear_packet_fault();
-    let mut takeover = Some(cluster.begin_takeover());
-    let crashed_at = takeover.as_ref().map(ActiveTakeover::now).unwrap();
-    let mut failover: Option<Failover> = None;
-    for budget in plan.recovery_crashes() {
-        let t = takeover
-            .take()
-            .expect("the takeover survives until a failover exists");
-        let arena = t.arena();
-        let at = t.now();
-        apply_mutation(mutation, &arena);
-        let writes_before = arena.borrow().writes();
-        arena.borrow_mut().inject_halt_after_writes(budget);
-        let result = run_caught(move || t.recover());
-        arena.borrow_mut().clear_halt();
-        match result {
-            Ok(Ok(f)) => {
-                out.recovery_writes = arena.borrow().writes() - writes_before;
-                failover = Some(f);
-                break;
-            }
-            Ok(Err(e)) => {
-                out.violation = Some(Violation::UnexpectedPanic(format!(
-                    "backup layout unreadable: {e}"
-                )));
-                return out;
-            }
-            Err(msg) if is_fault(&msg) => {
-                out.faults_fired += 1;
-                match ActiveTakeover::resume(costs.clone(), Rc::clone(&arena), NullTracer, at) {
-                    Ok(t) => takeover = Some(t),
-                    Err(e) => {
-                        out.violation = Some(Violation::UnexpectedPanic(format!(
-                            "mid-recovery halt corrupted the layout: {e}"
-                        )));
-                        return out;
-                    }
-                }
-            }
-            Err(msg) => {
-                out.violation = Some(Violation::UnexpectedPanic(msg));
-                return out;
-            }
-        }
-    }
-    let failover = match failover {
-        Some(f) => f,
-        None => {
-            let t = takeover
-                .take()
-                .expect("no failover yet, so the takeover survived");
-            let arena = t.arena();
-            apply_mutation(mutation, &arena);
-            let writes_before = arena.borrow().writes();
-            match run_caught(move || t.recover()) {
-                Ok(Ok(f)) => {
-                    out.recovery_writes = arena.borrow().writes() - writes_before;
-                    f
-                }
-                Ok(Err(e)) => {
-                    out.violation = Some(Violation::UnexpectedPanic(format!(
-                        "backup layout unreadable: {e}"
-                    )));
-                    return out;
-                }
-                Err(msg) => {
-                    out.violation = Some(Violation::UnexpectedPanic(msg));
-                    return out;
-                }
-            }
-        }
-    };
-    out.recovered = failover.report.committed_seq;
-    if out.recovered > out.committed + 1 {
-        out.violation = Some(Violation::SequenceDrift {
-            recovered: out.recovered,
-            committed: out.committed,
-        });
-        return out;
-    }
-    if scenario.two_safe && out.recovered < out.committed {
-        out.violation = Some(Violation::ExcessiveLoss {
-            recovered: out.recovered,
-            committed: out.committed,
-        });
-        return out;
-    }
-    if out.committed.saturating_sub(out.recovered) >= LOSS_BOUND {
-        out.violation = Some(Violation::ExcessiveLoss {
-            recovered: out.recovered,
-            committed: out.committed,
-        });
-        return out;
-    }
-    // The active backup applies whole publications: its recovered image
-    // is byte-exact at its own boundary, never torn.
-    let arena = Rc::clone(failover.machine.arena());
-    let seq = out.recovered;
-    check_image(&mut out, reference, &arena, db, seq, false);
-    if out.violation.is_none() {
-        check_timeline(&mut out, plan, crashed_at, failover.recovery_time, 2);
-    }
-    out
-}
-
-fn run_replica_set(
-    scenario: &Scenario,
-    plan: &FaultPlan,
-    reference: &Reference,
-    mutation: Option<Mutation>,
-) -> Outcome {
-    let mut out = Outcome::new(scenario, plan);
-    let costs = CostModel::alpha_21164a();
-    let config = EngineConfig::for_db(scenario.db_len);
-    let topology = scenario
-        .topology()
-        .expect("chain/quorum drivers have a topology")
-        .expect("check_plan validated the topology");
-    let mut set = ReplicaSet::new(costs.clone(), scenario.version, &config, topology);
-    for (from, to, ps) in plan.partition_delays() {
-        set.partition_delay(from, to, VirtualDuration::from_picos(ps));
-    }
-    for (from, to, n) in plan.partition_drops() {
-        set.partition_drop_after(from, to, n);
-    }
-    let db = set.engine().db_region();
-    let mut workload = scenario.workload.build(db, scenario.seed);
-
-    let site = plan.primary_crash();
-    match site {
-        Some(FaultSite::Store(n)) => set.machine_mut().inject_crash_after_stores(n),
-        Some(FaultSite::Packet(n)) => set.machine_mut().inject_crash_after_packets(n),
-        _ => {}
-    }
-    let crash_txn = match site {
-        Some(FaultSite::Txn(n)) => Some(n),
-        _ => None,
-    };
-    let stores_before = set.machine().stores_executed();
-    let packets_before = set.machine().packets_emitted();
-    let ok = run_txn_loop(&mut out, scenario.txns, crash_txn, || {
-        set.run_txn(workload.as_mut());
-        Ok(())
-    });
-    out.stores = set.machine().stores_executed() - stores_before;
-    out.packets = set.machine().packets_emitted() - packets_before;
-    if !ok {
-        return out;
-    }
-
-    if site.is_none() {
-        set.quiesce();
-        out.degraded = set.degraded_commits();
-        out.recovered = out.committed;
-        // Chain and quorum heads run 2-safe toward node 1: its image is
-        // exact at every graceful boundary, partitions or not.
-        let node1 = Rc::clone(set.replica_arena(1));
-        let seq = out.recovered;
-        check_image(&mut out, reference, &node1, db, seq, false);
-        // Without partitions, every further replica converges too.
-        if out.violation.is_none() && plan.partition_pairs().is_empty() {
-            for node in 2..scenario.rf {
-                let arena = Rc::clone(set.replica_arena(node));
-                check_image(&mut out, reference, &arena, db, seq, false);
-                if out.violation.is_some() {
-                    break;
-                }
-            }
-        }
-        return out;
-    }
-
-    set.machine_mut().clear_fault();
-    set.machine_mut().clear_packet_fault();
-    out.degraded = set.degraded_commits();
-    let replica_takeover = set.begin_takeover();
-    let crashed_at = replica_takeover.crashed_at;
-    let mut takeover = Some(replica_takeover.takeover);
-    let mut failover: Option<Failover> = None;
-    for budget in plan.recovery_crashes() {
-        let t = takeover
-            .take()
-            .expect("the takeover survives until a failover exists");
-        let arena = t.arena();
-        let at = t.now();
-        apply_mutation(mutation, &arena);
-        let writes_before = arena.borrow().writes();
-        arena.borrow_mut().inject_halt_after_writes(budget);
-        let result = run_caught(move || t.recover());
-        arena.borrow_mut().clear_halt();
-        match result {
-            Ok(f) => {
-                out.recovery_writes = arena.borrow().writes() - writes_before;
-                failover = Some(f);
-                break;
-            }
-            Err(msg) if is_fault(&msg) => {
-                out.faults_fired += 1;
-                takeover = Some(Takeover::resume(
-                    scenario.version,
-                    costs.clone(),
-                    Rc::clone(&arena),
-                    NullTracer,
-                    at,
-                ));
-            }
-            Err(msg) => {
-                out.violation = Some(Violation::UnexpectedPanic(msg));
-                return out;
-            }
-        }
-    }
-    let failover = match failover {
-        Some(f) => f,
-        None => {
-            let t = takeover
-                .take()
-                .expect("no failover yet, so the takeover survived");
-            let arena = t.arena();
-            apply_mutation(mutation, &arena);
-            let writes_before = arena.borrow().writes();
-            match run_caught(move || t.recover()) {
-                Ok(f) => {
-                    out.recovery_writes = arena.borrow().writes() - writes_before;
-                    f
-                }
-                Err(msg) => {
-                    out.violation = Some(Violation::UnexpectedPanic(msg));
-                    return out;
-                }
-            }
-        }
-    };
-    out.recovered = failover.report.committed_seq;
-    // Chain and quorum commits are 2-safe: nothing committed is ever
-    // lost, partitions included, and at most the in-flight transaction
-    // may have committed past the loop's count.
-    if out.recovered < out.committed || out.recovered > out.committed + 1 {
-        out.violation = Some(Violation::SequenceDrift {
-            recovered: out.recovered,
-            committed: out.committed,
-        });
-        return out;
-    }
-    let arena = Rc::clone(failover.machine.arena());
-    let seq = out.recovered;
-    check_image(&mut out, reference, &arena, db, seq, true);
-    if out.violation.is_none() {
-        check_timeline(
-            &mut out,
-            plan,
-            crashed_at,
-            failover.recovery_time,
-            scenario.rf,
-        );
-    }
-    out
 }

@@ -24,8 +24,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use dsnrep_core::{
-    Applied, Engine, EngineConfig, ImprovedLogEngine, Machine, RecoveryReport, RedoReader,
-    RedoWriter, TxError, VersionTag,
+    Applied, Engine, EngineConfig, ImprovedLogEngine, Machine, MachineStats, RecoveryReport,
+    RedoReader, RedoWriter, TxError, VersionTag,
 };
 use dsnrep_mcsim::{Link, Traffic, TxPort};
 use dsnrep_obs::{NullTracer, Phase, TraceEventKind, Tracer, TRACK_BACKUP, TRACK_PRIMARY};
@@ -33,6 +33,7 @@ use dsnrep_rio::{Arena, Layout, LayoutError, RegionId, RootSlot};
 use dsnrep_simcore::{CostModel, Region, StallCause, VirtualInstant};
 use dsnrep_workloads::{ThroughputReport, TxCtx, Workload};
 
+use crate::cluster::{Cluster, Recovery};
 use crate::passive::Failover;
 
 /// The backup node: a polling CPU applying the redo ring.
@@ -368,17 +369,6 @@ impl<T: Tracer + 'static> ActiveCluster<T> {
         &mut self.machine
     }
 
-    /// The primary-side engine (for direct API use in examples/tests).
-    pub fn engine_mut(&mut self) -> &mut ActivePrimaryEngine<T> {
-        &mut self.engine
-    }
-
-    /// Splits the cluster into the primary machine and engine for direct
-    /// transaction use (e.g. by a `TxCtx`).
-    pub fn parts_mut(&mut self) -> (&mut Machine<T>, &mut ActivePrimaryEngine<T>) {
-        (&mut self.machine, &mut self.engine)
-    }
-
     /// The backup arena (for oracles and assertions).
     pub fn backup_arena(&self) -> &Rc<RefCell<Arena>> {
         &self.backup_arena
@@ -408,14 +398,7 @@ impl<T: Tracer + 'static> ActiveCluster<T> {
 
     /// Runs `txns` transactions and reports primary throughput.
     pub fn run(&mut self, workload: &mut dyn Workload<T>, txns: u64) -> ThroughputReport {
-        let start = self.machine.now();
-        for _ in 0..txns {
-            self.run_txn(workload);
-        }
-        ThroughputReport {
-            txns,
-            elapsed: self.machine.now().duration_since(start),
-        }
+        Cluster::run(self, workload, txns)
     }
 
     /// Delivers everything in flight and lets the backup apply all of it
@@ -440,7 +423,7 @@ impl<T: Tracer + 'static> ActiveCluster<T> {
 
     /// Execution counters of the backup machine (clock, stall attribution,
     /// cache) — the backup-side half of the stall breakdown.
-    pub fn backup_stats(&self) -> dsnrep_core::MachineStats {
+    pub fn backup_stats(&self) -> MachineStats {
         self.backup.borrow().machine.stats()
     }
 
@@ -478,7 +461,7 @@ impl<T: Tracer + 'static> ActiveCluster<T> {
 
     /// Crashes the primary and hands back the promoted-but-unrecovered
     /// backup as an [`ActiveTakeover`]. Fault campaigns use the split to
-    /// arm mid-recovery faults before calling [`ActiveTakeover::recover`];
+    /// arm mid-recovery faults before calling [`Recovery::recover`];
     /// [`ActiveCluster::crash_primary`] is the one-shot composition.
     pub fn begin_takeover(mut self) -> ActiveTakeover<T> {
         self.machine.trace_event(TraceEventKind::PrimaryCrash, 0);
@@ -500,10 +483,10 @@ impl<T: Tracer + 'static> ActiveCluster<T> {
 /// A promoted active backup that has not yet run its takeover procedure:
 /// the redo ring has not been drained, the sequence roots are unstamped.
 ///
-/// Mirrors [`Takeover`](crate::Takeover) for the active scheme: a fault
-/// campaign arms a write budget on [`ActiveTakeover::machine_mut`],
-/// catches the halt from [`ActiveTakeover::recover`], and re-enters over
-/// the surviving arena via [`ActiveTakeover::resume`]. The procedure is
+/// Mirrors [`Takeover`](crate::Takeover) for the active scheme through
+/// [`Recovery`]: a fault campaign arms a write budget on the backup's
+/// arena, catches the halt from [`Recovery::recover`], and re-enters over
+/// the surviving arena via [`Recovery::resume`]. The procedure is
 /// idempotent: redo records are absolute writes, so a fresh poll re-applies
 /// them byte-identically, and the sequence root is kept monotone.
 #[derive(Debug)]
@@ -512,61 +495,66 @@ pub struct ActiveTakeover<T: Tracer + 'static = NullTracer> {
     reader: RedoReader,
 }
 
-impl<T: Tracer + 'static> ActiveTakeover<T> {
-    /// Rebuilds a takeover over a surviving backup arena after a caught
-    /// mid-recovery halt: a fresh (cold-cache, portless) machine at
-    /// virtual time `at` and a fresh reader over the same ring.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LayoutError`] if the arena does not carry a formatted
-    /// layout.
-    pub fn resume(
-        costs: CostModel,
-        arena: Rc<RefCell<Arena>>,
-        tracer: T,
-        at: VirtualInstant,
-    ) -> Result<Self, LayoutError> {
-        let layout = Layout::read(&arena.borrow())?;
-        let ring = layout.expect_region(RegionId::RedoRing);
-        let db = layout.expect_region(RegionId::Database);
-        let mut machine = Machine::standalone_traced(costs, arena, tracer, TRACK_BACKUP);
-        machine.stall_until(StallCause::Other, at);
-        Ok(ActiveTakeover {
-            machine,
-            reader: RedoReader::new(ring, db),
-        })
+impl<T: Tracer + 'static> Cluster<T> for ActiveCluster<T> {
+    type Takeover = ActiveTakeover<T>;
+
+    fn machine(&self) -> &Machine<T> {
+        &self.machine
     }
 
-    /// The promoted backup's arena handle (hold a clone across
-    /// [`ActiveTakeover::recover`] to survive an injected halt).
-    pub fn arena(&self) -> Rc<RefCell<Arena>> {
+    fn machine_mut(&mut self) -> &mut Machine<T> {
+        &mut self.machine
+    }
+
+    fn db_region(&self) -> Region {
+        self.engine.db_region()
+    }
+
+    fn run_txn(&mut self, workload: &mut dyn Workload<T>) {
+        ActiveCluster::run_txn(self, workload);
+    }
+
+    /// [`ActiveCluster::settle`]: the backup applies everything delivered.
+    fn quiesce(&mut self) {
+        self.settle();
+    }
+
+    fn traffic(&self) -> Traffic {
+        ActiveCluster::traffic(self)
+    }
+
+    fn applied_seq(&mut self) -> Option<u64> {
+        Some(self.backup_applied_seq())
+    }
+
+    fn backup_stats(&self) -> Option<MachineStats> {
+        Some(ActiveCluster::backup_stats(self))
+    }
+
+    fn replica_arenas(&self) -> Vec<Rc<RefCell<Arena>>> {
+        vec![Rc::clone(&self.backup_arena)]
+    }
+
+    /// The timeline starts when the backup CPU notices the crash: at the
+    /// crash instant, or later if it was still applying a publication.
+    fn begin_takeover(self) -> (VirtualInstant, ActiveTakeover<T>) {
+        let takeover = ActiveCluster::begin_takeover(self);
+        (takeover.now(), takeover)
+    }
+}
+
+impl<T: Tracer + 'static> Recovery<T> for ActiveTakeover<T> {
+    fn arena(&self) -> Rc<RefCell<Arena>> {
         Rc::clone(self.machine.arena())
     }
 
-    /// The promoted backup's current virtual time.
-    pub fn now(&self) -> VirtualInstant {
+    fn now(&self) -> VirtualInstant {
         self.machine.now()
-    }
-
-    /// The promoted backup machine (fault campaigns arm budgets here).
-    pub fn machine_mut(&mut self) -> &mut Machine<T> {
-        &mut self.machine
     }
 
     /// Drains the redo ring, stamps the sequence roots, and brings the
     /// backup up as a standalone Version 3 engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LayoutError`] if the backup arena is unreadable (cannot
-    /// happen in a correctly wired cluster).
-    ///
-    /// # Panics
-    ///
-    /// Panics mid-recovery when an injected fault fires (by design — the
-    /// caller catches the unwind and may [`ActiveTakeover::resume`]).
-    pub fn recover(mut self) -> Result<Failover<T>, LayoutError> {
+    fn recover(mut self) -> Result<Failover<T>, LayoutError> {
         // Apply everything that was delivered before the crash.
         let drain_start = self.machine.now();
         self.reader.poll(&mut self.machine);
@@ -600,6 +588,27 @@ impl<T: Tracer + 'static> ActiveTakeover<T> {
             engine: Box::new(engine),
             report,
             recovery_time,
+        })
+    }
+
+    /// A fresh (cold-cache, portless) machine at `at` and a fresh reader
+    /// over the same ring. The active backup always runs Version 3;
+    /// `version` is ignored.
+    fn resume(
+        _version: VersionTag,
+        costs: CostModel,
+        arena: Rc<RefCell<Arena>>,
+        tracer: T,
+        at: VirtualInstant,
+    ) -> Result<Self, LayoutError> {
+        let layout = Layout::read(&arena.borrow())?;
+        let ring = layout.expect_region(RegionId::RedoRing);
+        let db = layout.expect_region(RegionId::Database);
+        let mut machine = Machine::standalone_traced(costs, arena, tracer, TRACK_BACKUP);
+        machine.stall_until(StallCause::Other, at);
+        Ok(ActiveTakeover {
+            machine,
+            reader: RedoReader::new(ring, db),
         })
     }
 }

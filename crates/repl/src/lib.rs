@@ -17,7 +17,9 @@
 //!   quorum replication (see `dsnrep-cluster`'s `Topology`).
 //!
 //! All three expose crash/failover entry points used by the failure
-//! injection tests and by `dsnrep-cluster`'s takeover orchestration.
+//! injection tests and by `dsnrep-cluster`'s takeover orchestration, and
+//! all three implement the [`Cluster`] trait, so consumers that only run,
+//! quiesce and crash a cluster write one generic body for every driver.
 //!
 //! # Examples
 //!
@@ -47,11 +49,13 @@
 #![warn(missing_debug_implementations)]
 
 mod active;
+mod cluster;
 mod passive;
 mod replica_set;
 mod smp;
 
 pub use active::{ActiveCluster, ActivePrimaryEngine, ActiveTakeover, BackupNode};
+pub use cluster::{Cluster, Recovery};
 pub use passive::{Failover, PassiveCluster, Takeover};
 pub use replica_set::{modeled_pairs, ReadSample, ReplicaSet, ReplicaTakeover};
 pub use smp::{Scheme, SmpExperiment, SmpReport};

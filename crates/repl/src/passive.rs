@@ -20,10 +20,12 @@ use dsnrep_core::{
 };
 use dsnrep_mcsim::{Link, Traffic, TxPort};
 use dsnrep_obs::{NullTracer, TraceEventKind, Tracer, TRACK_BACKUP, TRACK_PRIMARY};
-use dsnrep_rio::Arena;
+use dsnrep_rio::{Arena, LayoutError};
 use dsnrep_simcore::CostModel;
-use dsnrep_simcore::{StallCause, TrafficClass, VirtualDuration, VirtualInstant};
+use dsnrep_simcore::{Region, StallCause, TrafficClass, VirtualDuration, VirtualInstant};
 use dsnrep_workloads::{ThroughputReport, TxCtx, Workload};
+
+use crate::cluster::{Cluster, Recovery};
 
 /// The outcome of a backup takeover.
 #[derive(Debug)]
@@ -271,14 +273,7 @@ impl<T: Tracer + 'static> PassiveCluster<T> {
 
     /// Runs `txns` transactions and reports primary throughput.
     pub fn run(&mut self, workload: &mut dyn Workload<T>, txns: u64) -> ThroughputReport {
-        let start = self.machine.now();
-        for _ in 0..txns {
-            self.run_txn(workload);
-        }
-        ThroughputReport {
-            txns,
-            elapsed: self.machine.now().duration_since(start),
-        }
+        Cluster::run(self, workload, txns)
     }
 
     /// After the initial load (pokes to the primary arena), re-synchronizes
@@ -359,8 +354,8 @@ impl<T: Tracer + 'static> PassiveCluster<T> {
 /// A promoted backup that has not yet run recovery: the state between
 /// "the primary is gone" and "the backup is serving".
 ///
-/// The split exists for fault injection: a campaign can arm an arena
-/// write budget on [`Takeover::machine_mut`], catch the simulated halt
+/// The split exists for fault injection (see [`Recovery`]): a campaign
+/// can arm a write budget on the backup's arena, catch the simulated halt
 /// from [`Takeover::recover`], and re-enter recovery over the surviving
 /// arena with [`Takeover::resume`] — the paper's recovery procedures are
 /// idempotent, so a crashed recovery is just another crash to recover
@@ -390,27 +385,6 @@ impl<T: Tracer + 'static> Takeover<T> {
             costs,
             machine,
         }
-    }
-
-    /// The engine version being recovered.
-    pub fn version(&self) -> VersionTag {
-        self.version
-    }
-
-    /// The promoted backup's arena handle (hold a clone across
-    /// [`Takeover::recover`] to survive an injected mid-recovery halt).
-    pub fn arena(&self) -> Rc<RefCell<Arena>> {
-        Rc::clone(self.machine.arena())
-    }
-
-    /// The promoted backup's current virtual time.
-    pub fn now(&self) -> VirtualInstant {
-        self.machine.now()
-    }
-
-    /// The promoted backup machine (fault campaigns arm budgets here).
-    pub fn machine_mut(&mut self) -> &mut Machine<T> {
-        &mut self.machine
     }
 
     /// Runs the version's recovery procedure and completes the failover.
@@ -456,5 +430,68 @@ impl<T: Tracer + 'static> Takeover<T> {
             report,
             recovery_time,
         }
+    }
+}
+
+impl<T: Tracer + 'static> Cluster<T> for PassiveCluster<T> {
+    type Takeover = Takeover<T>;
+
+    fn machine(&self) -> &Machine<T> {
+        &self.machine
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine<T> {
+        &mut self.machine
+    }
+
+    fn db_region(&self) -> Region {
+        self.engine.db_region()
+    }
+
+    fn run_txn(&mut self, workload: &mut dyn Workload<T>) {
+        PassiveCluster::run_txn(self, workload);
+    }
+
+    fn quiesce(&mut self) {
+        self.machine.quiesce();
+    }
+
+    fn traffic(&self) -> Traffic {
+        PassiveCluster::traffic(self)
+    }
+
+    fn replica_arenas(&self) -> Vec<Rc<RefCell<Arena>>> {
+        self.backups.clone()
+    }
+
+    /// Promotes the first backup.
+    fn begin_takeover(self) -> (VirtualInstant, Takeover<T>) {
+        let crashed_at = self.machine.now();
+        (crashed_at, PassiveCluster::begin_takeover(self, 0))
+    }
+}
+
+impl<T: Tracer + 'static> Recovery<T> for Takeover<T> {
+    fn arena(&self) -> Rc<RefCell<Arena>> {
+        Rc::clone(self.machine.arena())
+    }
+
+    fn now(&self) -> VirtualInstant {
+        self.machine.now()
+    }
+
+    /// Never fails: the passive backup's layout arrived by write doubling.
+    fn recover(self) -> Result<Failover<T>, LayoutError> {
+        Ok(Takeover::recover(self))
+    }
+
+    fn resume(
+        version: VersionTag,
+        costs: CostModel,
+        arena: Rc<RefCell<Arena>>,
+        tracer: T,
+        at: VirtualInstant,
+    ) -> Result<Self, LayoutError> {
+        Ok(Takeover::resume(version, costs, arena, tracer, at))
     }
 }

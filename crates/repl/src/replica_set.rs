@@ -45,9 +45,12 @@ use dsnrep_core::{Durability, Engine, EngineConfig, Machine, VersionTag};
 use dsnrep_mcsim::{Fabric, PacketTap, TappedPacket, Traffic};
 use dsnrep_obs::{Metric, NullTracer, Phase, Tracer};
 use dsnrep_rio::Arena;
-use dsnrep_simcore::{Addr, CostModel, StallCause, TrafficClass, VirtualDuration, VirtualInstant};
+use dsnrep_simcore::{
+    Addr, CostModel, Region, StallCause, TrafficClass, VirtualDuration, VirtualInstant,
+};
 use dsnrep_workloads::{ThroughputReport, Workload};
 
+use crate::cluster::Cluster;
 use crate::passive::{PassiveCluster, Takeover};
 
 /// An acknowledgement packet: 8 bytes of meta-data (a sequence number).
@@ -492,14 +495,7 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     /// Runs `txns` transactions and reports head throughput (inclusive of
     /// acknowledgement stalls).
     pub fn run(&mut self, workload: &mut dyn Workload<T>, txns: u64) -> ThroughputReport {
-        let start = self.head.machine().now();
-        for _ in 0..txns {
-            self.run_txn(workload);
-        }
-        ThroughputReport {
-            txns,
-            elapsed: self.head.machine().now().duration_since(start),
-        }
+        Cluster::run(self, workload, txns)
     }
 
     /// Post-transaction replication settlement (no-op for primary-backup:
@@ -909,6 +905,50 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     pub fn crash_head(self) -> (NodeId, crate::passive::Failover<T>) {
         let t = self.begin_takeover();
         (t.successor, t.takeover.recover())
+    }
+}
+
+impl<T: Tracer + 'static> Cluster<T> for ReplicaSet<T> {
+    type Takeover = Takeover<T>;
+
+    fn machine(&self) -> &Machine<T> {
+        self.head.machine()
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine<T> {
+        self.head.machine_mut()
+    }
+
+    fn db_region(&self) -> Region {
+        self.head.engine().db_region()
+    }
+
+    fn run_txn(&mut self, workload: &mut dyn Workload<T>) {
+        ReplicaSet::run_txn(self, workload);
+    }
+
+    fn quiesce(&mut self) {
+        ReplicaSet::quiesce(self);
+    }
+
+    fn traffic(&self) -> Traffic {
+        ReplicaSet::traffic(self)
+    }
+
+    fn degraded_commits(&self) -> u64 {
+        self.degraded_commits
+    }
+
+    /// Nodes `1..rf` in order.
+    fn replica_arenas(&self) -> Vec<Rc<RefCell<Arena>>> {
+        (1..self.topology.rf())
+            .map(|node| Rc::clone(self.replica_arena(node)))
+            .collect()
+    }
+
+    fn begin_takeover(self) -> (VirtualInstant, Takeover<T>) {
+        let t = ReplicaSet::begin_takeover(self);
+        (t.crashed_at, t.takeover)
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! These are the headline *shapes* of the evaluation — who wins, in which
 //! configuration, and why — checked at a reduced run scale. The full
-//! quantitative comparison lives in `dsnrep-bench` (`cargo bench`, or the
-//! `reproduce` binary) and in `EXPERIMENTS.md`.
+//! quantitative comparison lives in `dsnrep-bench` (the `reproduce`
+//! binary) and in `EXPERIMENTS.md`.
 
 use dsnrep::core::VersionTag;
 use dsnrep::workloads::WorkloadKind;
