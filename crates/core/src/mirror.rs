@@ -86,6 +86,22 @@ pub struct MirrorEngine {
     scratch_mirror: Vec<u8>,
 }
 
+/// Copies `len` bytes from `src` to `dst` in 64 KiB chunks through one
+/// reused buffer. Page-sized chunks keep memory bounded for gigabyte
+/// databases, and each chunk is one [`Arena::write`]: the recovery-write
+/// crash sites are the chunk boundaries.
+fn copy_in_chunks(arena: &mut Arena, src: Addr, dst: Addr, len: u64) {
+    const CHUNK: u64 = 64 * 1024;
+    let mut buf = vec![0u8; len.min(CHUNK) as usize];
+    let mut off = 0u64;
+    while off < len {
+        let chunk = &mut buf[..(len - off).min(CHUNK) as usize];
+        arena.read_into(src + off, chunk);
+        arena.write(dst + off, chunk);
+        off += chunk.len() as u64;
+    }
+}
+
 impl MirrorEngine {
     /// The arena layout this engine formats.
     pub fn layout(config: &EngineConfig) -> Layout {
@@ -178,14 +194,7 @@ impl MirrorEngine {
         let layout = Layout::read(arena)?;
         let db = layout.expect_region(RegionId::Database);
         let mirror = layout.expect_region(RegionId::Mirror);
-        // Page-sized chunks keep memory bounded for gigabyte databases.
-        let mut off = 0u64;
-        while off < db.len() {
-            let n = (db.len() - off).min(64 * 1024) as usize;
-            let chunk = arena.read_vec(mirror.start() + off, n);
-            arena.write(db.start() + off, &chunk);
-            off += n as u64;
-        }
+        copy_in_chunks(arena, mirror.start(), db.start(), db.len());
         // The ranges region was never replicated: clear any stale content.
         arena.write_u64(
             layout.expect_region(RegionId::Ranges).start() + COUNT_OFF,
@@ -202,13 +211,12 @@ impl MirrorEngine {
     /// unaccounted). Call after the initial database load.
     pub fn sync_mirror_from_db<T: Tracer>(&self, m: &mut Machine<T>) {
         let mut arena = m.arena().borrow_mut();
-        let mut off = 0u64;
-        while off < self.db.len() {
-            let n = (self.db.len() - off).min(64 * 1024) as usize;
-            let chunk = arena.read_vec(self.db.start() + off, n);
-            arena.write(self.mirror.start() + off, &chunk);
-            off += n as u64;
-        }
+        copy_in_chunks(
+            &mut arena,
+            self.db.start(),
+            self.mirror.start(),
+            self.db.len(),
+        );
     }
 
     fn seq_addr(&self) -> Addr {

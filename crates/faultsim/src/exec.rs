@@ -46,9 +46,10 @@ pub enum Mutation {
     /// to the standalone exact-image check; a 1-safe failover's torn
     /// window legitimately hides it.
     SkipUndoChain,
-    /// Flip a committed database byte before every recovery attempt:
-    /// recovery "scribbles" over data no in-flight transaction touched.
-    /// Visible on every driver — no torn window explains it.
+    /// Flip a committed database byte once, before the first recovery
+    /// attempt: recovery "scribbles" over data no in-flight transaction
+    /// touched. Visible on every driver — no torn window explains it —
+    /// however many times the plan crashes recovery.
     ScribbleCommitted,
 }
 
@@ -243,29 +244,27 @@ fn check_plan(scenario: &Scenario, plan: &FaultPlan) -> Result<(), PlanError> {
     Ok(())
 }
 
-fn apply_mutation(mutation: Option<Mutation>, arena: &Rc<RefCell<Arena>>) {
-    match mutation {
-        Some(Mutation::SkipUndoChain) => {
-            let mut arena = arena.borrow_mut();
-            if let Ok(layout) = Layout::read(&arena) {
-                if let Some(log) = layout.region(RegionId::UndoLog) {
-                    arena.write_u64(log.start(), 0);
-                }
-            }
+/// Zeroes the undo-log chain head ([`Mutation::SkipUndoChain`]).
+fn skip_undo_chain(arena: &Rc<RefCell<Arena>>) {
+    let mut arena = arena.borrow_mut();
+    if let Ok(layout) = Layout::read(&arena) {
+        if let Some(log) = layout.region(RegionId::UndoLog) {
+            arena.write_u64(log.start(), 0);
         }
-        Some(Mutation::ScribbleCommitted) => {
-            let mut arena = arena.borrow_mut();
-            if let Ok(layout) = Layout::read(&arena) {
-                if let Some(db) = layout.region(RegionId::Database) {
-                    // The byte is XOR-flipped (not overwritten), so the
-                    // corruption never accidentally matches the oracle.
-                    let addr = db.start() + db.len() / 2;
-                    let byte = arena.read_vec(addr, 1)[0];
-                    arena.write(addr, &[byte ^ 0xA5]);
-                }
-            }
+    }
+}
+
+/// Flips a committed database byte ([`Mutation::ScribbleCommitted`]).
+fn scribble_committed(arena: &Rc<RefCell<Arena>>) {
+    let mut arena = arena.borrow_mut();
+    if let Ok(layout) = Layout::read(&arena) {
+        if let Some(db) = layout.region(RegionId::Database) {
+            // The byte is XOR-flipped (not overwritten), so the
+            // corruption never accidentally matches the oracle.
+            let addr = db.start() + db.len() / 2;
+            let byte = arena.read_vec(addr, 1)[0];
+            arena.write(addr, &[byte ^ 0xA5]);
         }
-        None => {}
     }
 }
 
@@ -492,12 +491,19 @@ impl Run<'_> {
     /// violation recorded) if recovery broke for a reason other than an
     /// injected halt.
     fn recover<R: Recovery>(&self, out: &mut Outcome, mut takeover: R) -> Option<Failover> {
+        // A second flip would undo the first, so the scribble lands once,
+        // before the first attempt; the undo-chain skip is idempotent.
+        if self.mutation == Some(Mutation::ScribbleCommitted) {
+            scribble_committed(&takeover.arena());
+        }
         let mut budgets = self.plan.recovery_crashes().into_iter();
         loop {
             let budget = budgets.next();
             let arena = takeover.arena();
             let at = takeover.now();
-            apply_mutation(self.mutation, &arena);
+            if self.mutation == Some(Mutation::SkipUndoChain) {
+                skip_undo_chain(&arena);
+            }
             let writes_before = arena.borrow().writes();
             if let Some(budget) = budget {
                 arena.borrow_mut().inject_halt_after_writes(budget);
@@ -678,10 +684,6 @@ fn run_txn_loop(
     true
 }
 
-fn read_db(arena: &Rc<RefCell<Arena>>, db: Region) -> Vec<u8> {
-    arena.borrow().read_vec(db.start(), db.len() as usize)
-}
-
 fn check_image(
     out: &mut Outcome,
     reference: &Reference,
@@ -697,8 +699,8 @@ fn check_image(
         });
         return;
     }
-    let actual = read_db(arena, db);
-    if let Some(offset) = reference.first_unexplained_mismatch(seq, &actual, allow_torn_tail) {
+    let arena = arena.borrow();
+    if let Some(offset) = reference.first_unexplained_mismatch(seq, &arena, db, allow_torn_tail) {
         out.violation = Some(Violation::Divergence { seq, offset });
     }
 }

@@ -9,7 +9,8 @@
 //! recovered sequence number, reading its own database region.
 
 use dsnrep_core::{build_engine, shared_arena, Machine, ShadowDb, VersionTag};
-use dsnrep_simcore::CostModel;
+use dsnrep_rio::Arena;
+use dsnrep_simcore::{Addr, CostModel, Region};
 use dsnrep_workloads::TxCtx;
 
 use crate::scenario::Scenario;
@@ -100,21 +101,22 @@ impl Reference {
         self.txn_spans[from..to].iter().flatten().copied().collect()
     }
 
-    /// Compares `actual` (a database region read, region-relative) against
-    /// the committed image at `seq`. With `allow_torn_tail`, bytes inside
+    /// Compares the database region `db` of `arena` in place against the
+    /// committed image at `seq`. With `allow_torn_tail`, bytes inside
     /// [`Reference::tail_spans`] may differ (partially applied in-flight
     /// writes); everything else must match exactly. Returns the
     /// region-relative offset of the first unexplained mismatch.
     pub fn first_unexplained_mismatch(
         &self,
         seq: u64,
-        actual: &[u8],
+        arena: &Arena,
+        db: Region,
         allow_torn_tail: bool,
     ) -> Option<u64> {
         let expect = self.image(seq);
         assert_eq!(
-            expect.len(),
-            actual.len(),
+            expect.len() as u64,
+            db.len(),
             "oracle and run disagree on the database size"
         );
         let torn = if allow_torn_tail {
@@ -122,20 +124,23 @@ impl Reference {
         } else {
             Vec::new()
         };
-        first_unexplained(expect, actual, &torn)
+        first_unexplained(expect, arena, db.start(), &torn)
     }
 }
 
-/// The first offset where `expect` and `actual` differ outside every
-/// `(offset, len)` span of `torn`.
+/// The first offset where `expect` and the arena bytes at `at` differ
+/// outside every `(offset, len)` span of `torn`.
 ///
-/// Equal stretches are skipped with block-wise slice comparisons
-/// (`memcmp`), so the cost of a matching image is a few bulk compares
-/// rather than a byte loop; a difference inside a torn span skips to the
-/// end of that span, since every byte up to there is explained.
-fn first_unexplained(expect: &[u8], actual: &[u8], torn: &[(u64, u64)]) -> Option<u64> {
+/// Each step is one in-place [`Arena::first_difference`], so the cost of
+/// a matching image is a few bulk compares rather than a copy and a byte
+/// loop; a difference inside a torn span skips to the end of that span,
+/// since every byte up to there is explained.
+fn first_unexplained(expect: &[u8], arena: &Arena, at: Addr, torn: &[(u64, u64)]) -> Option<u64> {
     let mut from = 0;
-    while let Some(i) = first_difference(&expect[from..], &actual[from..]).map(|d| from + d) {
+    while let Some(i) = arena
+        .first_difference(at + from as u64, &expect[from..])
+        .map(|d| from + d)
+    {
         let at = i as u64;
         match torn
             .iter()
@@ -150,24 +155,10 @@ fn first_unexplained(expect: &[u8], actual: &[u8], torn: &[(u64, u64)]) -> Optio
     None
 }
 
-/// The index of the first byte where `a` and `b` (of equal length) differ.
-fn first_difference(a: &[u8], b: &[u8]) -> Option<usize> {
-    const BLOCK: usize = 1024;
-    let block = a
-        .chunks(BLOCK)
-        .zip(b.chunks(BLOCK))
-        .position(|(x, y)| x != y)?;
-    let start = block * BLOCK;
-    a[start..]
-        .iter()
-        .zip(&b[start..])
-        .position(|(x, y)| x != y)
-        .map(|d| start + d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsnrep_rio::PAGE_SIZE;
     use dsnrep_workloads::WorkloadKind;
 
     /// The reference: a byte loop over a torn-byte mask.
@@ -183,10 +174,55 @@ mod tests {
             .map(|i| i as u64)
     }
 
+    /// The compare before it moved into the arena: copy the region out,
+    /// then skip equal 1 KiB blocks of the two slices.
+    fn slice_unexplained(expect: &[u8], actual: &[u8], torn: &[(u64, u64)]) -> Option<u64> {
+        let first_difference = |a: &[u8], b: &[u8]| {
+            let block = a
+                .chunks(1024)
+                .zip(b.chunks(1024))
+                .position(|(x, y)| x != y)?;
+            let start = block * 1024;
+            a[start..]
+                .iter()
+                .zip(&b[start..])
+                .position(|(x, y)| x != y)
+                .map(|d| start + d)
+        };
+        let mut from = 0;
+        while let Some(i) = first_difference(&expect[from..], &actual[from..]).map(|d| from + d) {
+            let at = i as u64;
+            match torn
+                .iter()
+                .filter(|&&(off, len)| (off..off + len).contains(&at))
+                .map(|&(off, len)| off + len)
+                .max()
+            {
+                Some(end) => from = end as usize,
+                None => return Some(at),
+            }
+        }
+        None
+    }
+
+    /// An arena holding `bytes` at `at`, written in 1 KiB pieces with
+    /// all-zero pieces skipped, so pages `bytes` leaves zero stay
+    /// untouched.
+    fn arena_with(len: u64, at: Addr, bytes: &[u8]) -> Arena {
+        let mut arena = Arena::new(len);
+        for (i, piece) in bytes.chunks(1024).enumerate() {
+            if piece.iter().any(|&b| b != 0) {
+                arena.write(at + (i * 1024) as u64, piece);
+            }
+        }
+        arena
+    }
+
     #[test]
     fn block_skipping_matches_the_byte_loop() {
         // A fixed LCG: sizes around the block length, sparse and dense
-        // differences, overlapping and nested torn spans.
+        // differences, overlapping and nested torn spans, at a page start
+        // and straddling a page boundary.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = |bound: u64| {
             state = state
@@ -196,6 +232,7 @@ mod tests {
         };
         for case in 0..2_000 {
             let len = [0, 1, 63, 1023, 1024, 1025, 3000][case % 7];
+            let base = Addr::new([0, PAGE_SIZE as u64 - 700][case % 2]);
             let expect: Vec<u8> = (0..len).map(|_| next(256) as u8).collect();
             let mut actual = expect.clone();
             for _ in 0..next(6) {
@@ -211,11 +248,52 @@ mod tests {
                     (off, next(len as u64 - off + 1))
                 })
                 .collect();
+            let arena = arena_with(2 * PAGE_SIZE as u64, base, &actual);
             assert_eq!(
-                first_unexplained(&expect, &actual, &torn),
+                first_unexplained(&expect, &arena, base, &torn),
                 scan_unexplained(&expect, &actual, &torn),
                 "case {case}: len {len}, torn {torn:?}"
             );
+        }
+    }
+
+    /// The in-place compare reports the offsets the copy-and-compare
+    /// path reported, on real reference images: a multi-page Order-Entry
+    /// database placed off a page boundary, corrupted at region edges,
+    /// page edges and inside and outside the torn tail.
+    #[test]
+    fn in_place_compare_matches_the_slice_path() {
+        let scenario =
+            Scenario::standalone(VersionTag::ImprovedLog, WorkloadKind::OrderEntry).with_txns(2);
+        let r = Reference::build(&scenario);
+        let db_len = scenario.db_len;
+        let db = Region::new(Addr::new(PAGE_SIZE as u64 / 2 + 8), db_len);
+        let page_edge = PAGE_SIZE as u64 / 2 - 8;
+        for seq in 0..=r.txns() {
+            let tail = r.tail_spans(seq);
+            let mut sites = vec![
+                None,
+                Some(0),
+                Some(page_edge - 1),
+                Some(page_edge),
+                Some(db_len - 1),
+            ];
+            sites.extend(tail.iter().take(3).map(|&(off, _)| Some(off)));
+            for site in sites {
+                let mut actual = r.image(seq).to_vec();
+                if let Some(off) = site {
+                    actual[off as usize] ^= 0x5A;
+                }
+                let arena = arena_with(db.end().as_u64() + 8, db.start(), &actual);
+                for torn in [false, true] {
+                    let spans = if torn { tail.clone() } else { Vec::new() };
+                    assert_eq!(
+                        r.first_unexplained_mismatch(seq, &arena, db, torn),
+                        slice_unexplained(r.image(seq), &arena.region_vec(db), &spans),
+                        "seq {seq}, corrupted at {site:?}, torn tail {torn}"
+                    );
+                }
+            }
         }
     }
 
@@ -236,14 +314,19 @@ mod tests {
     fn mismatches_inside_the_tail_are_explained_outside_are_not() {
         let scenario = Scenario::standalone(VersionTag::ImprovedLog, WorkloadKind::DebitCredit);
         let r = Reference::build(&scenario);
+        let db = Region::new(Addr::new(0), scenario.db_len);
         // A backup that stopped at boundary 2 but partially applied txn 3:
         // corrupt one byte inside txn 3's first span.
         let mut actual = r.image(2).to_vec();
         let spans = r.tail_spans(2);
         let (off, _) = spans[0];
         actual[off as usize] ^= 0xFF;
-        assert_eq!(r.first_unexplained_mismatch(2, &actual, true), None);
-        assert_eq!(r.first_unexplained_mismatch(2, &actual, false), Some(off));
+        let arena = arena_with(db.len(), db.start(), &actual);
+        assert_eq!(r.first_unexplained_mismatch(2, &arena, db, true), None);
+        assert_eq!(
+            r.first_unexplained_mismatch(2, &arena, db, false),
+            Some(off)
+        );
         // A byte outside every tail span is never explained.
         let torn: std::collections::HashSet<u64> = r
             .tail_spans(2)
@@ -255,8 +338,9 @@ mod tests {
             .expect("the tail does not cover the whole database");
         let mut actual = r.image(2).to_vec();
         actual[outside as usize] ^= 0xFF;
+        let arena = arena_with(db.len(), db.start(), &actual);
         assert_eq!(
-            r.first_unexplained_mismatch(2, &actual, true),
+            r.first_unexplained_mismatch(2, &arena, db, true),
             Some(outside)
         );
     }

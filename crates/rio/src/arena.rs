@@ -237,6 +237,35 @@ impl Arena {
         }
     }
 
+    /// Compares the `expect.len()` bytes at `addr` with `expect` in place,
+    /// without copying them out, and returns the offset (relative to
+    /// `addr`) of the first byte that differs. An untouched page compares
+    /// as zeros, exactly as [`read_into`](Arena::read_into) would read it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range falls outside the arena.
+    pub fn first_difference(&self, addr: Addr, expect: &[u8]) -> Option<usize> {
+        self.check(addr, expect.len());
+        let mut off = addr.as_usize();
+        let mut done = 0;
+        while done < expect.len() {
+            let page_off = off % PAGE_SIZE;
+            let n = (PAGE_SIZE - page_off).min(expect.len() - done);
+            let want = &expect[done..done + n];
+            let diff = match &self.pages[off / PAGE_SIZE] {
+                Some(page) => first_mismatch(&page[page_off..page_off + n], want),
+                None => first_nonzero(want),
+            };
+            if let Some(d) = diff {
+                return Some(done + d);
+            }
+            done += n;
+            off += n;
+        }
+        None
+    }
+
     /// Reads `len` bytes at `addr` into a fresh vector.
     pub fn read_vec(&self, addr: Addr, len: usize) -> Vec<u8> {
         let mut v = vec![0u8; len];
@@ -301,6 +330,34 @@ impl Arena {
             usize::try_from(region.len()).expect("region too large"),
         )
     }
+}
+
+/// Block length of the compare helpers: equal stretches are skipped one
+/// block-sized slice comparison (`memcmp`) at a time, and only the block
+/// holding a difference is scanned byte by byte.
+const CMP_BLOCK: usize = 1024;
+
+/// The index of the first byte where `a` and `b` (of equal length) differ.
+fn first_mismatch(a: &[u8], b: &[u8]) -> Option<usize> {
+    let block = a
+        .chunks(CMP_BLOCK)
+        .zip(b.chunks(CMP_BLOCK))
+        .position(|(x, y)| x != y)?;
+    let start = block * CMP_BLOCK;
+    a[start..]
+        .iter()
+        .zip(&b[start..])
+        .position(|(x, y)| x != y)
+        .map(|d| start + d)
+}
+
+/// The index of the first nonzero byte of `a`: the compare against an
+/// untouched page.
+fn first_nonzero(a: &[u8]) -> Option<usize> {
+    const ZEROS: [u8; CMP_BLOCK] = [0; CMP_BLOCK];
+    let block = a.chunks(CMP_BLOCK).position(|x| x != &ZEROS[..x.len()])?;
+    let start = block * CMP_BLOCK;
+    a[start..].iter().position(|&x| x != 0).map(|d| start + d)
 }
 
 #[cfg(test)]
@@ -430,5 +487,70 @@ mod tests {
         let b = a.clone();
         a.write(Addr::new(0), &[6]);
         assert_eq!(b.read_vec(Addr::new(0), 1), vec![5]);
+    }
+
+    #[test]
+    fn first_difference_of_an_empty_range_is_none() {
+        let a = Arena::new(PAGE_SIZE as u64);
+        assert_eq!(a.first_difference(Addr::new(PAGE_SIZE as u64), &[]), None);
+        assert_eq!(a.first_difference(Addr::new(7), &[]), None);
+    }
+
+    mod compare {
+        use super::*;
+        use proptest::prelude::*;
+
+        const PAGES: u64 = 4;
+
+        /// An arena offset drawn as (page, edge, raw): edges 0..4 pin it
+        /// on or next to a page boundary, the rest take the raw offset.
+        fn offset((page, edge, raw): (u64, u8, usize)) -> u64 {
+            let within = match edge {
+                0 => 0,
+                1 => 1,
+                2 => PAGE_SIZE - 1,
+                3 => PAGE_SIZE - 2,
+                _ => raw,
+            };
+            page * PAGE_SIZE as u64 + within as u64
+        }
+
+        fn site() -> impl Strategy<Value = (u64, u8, usize)> {
+            (0..PAGES, 0u8..8, 0..PAGE_SIZE)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// The in-place compare returns exactly what a copy-out read
+            /// plus a byte loop returns: over untouched pages, pages
+            /// materialized with only zeros, ranges crossing pages, and
+            /// differences on page edges.
+            #[test]
+            fn first_difference_matches_read_vec_and_a_byte_loop(
+                writes in prop::collection::vec((site(), 0u8..4), 0..12),
+                start in site(),
+                len in 0usize..3 * PAGE_SIZE,
+                flips in prop::collection::vec((site(), 1u8..=255), 0..4),
+            ) {
+                let mut arena = Arena::new(PAGES * PAGE_SIZE as u64);
+                for &(at, byte) in &writes {
+                    // A zero byte materializes a page without changing it.
+                    arena.write(Addr::new(offset(at)), &[byte]);
+                }
+                let start = offset(start);
+                let len = len.min((arena.len() - start) as usize);
+                let addr = Addr::new(start);
+                let mut expect = arena.read_vec(addr, len);
+                for &(at, mask) in &flips {
+                    if let Some(i) = offset(at).checked_sub(start).filter(|&i| i < len as u64) {
+                        expect[i as usize] ^= mask;
+                    }
+                }
+                let actual = arena.read_vec(addr, len);
+                let want = (0..len).find(|&i| actual[i] != expect[i]);
+                prop_assert_eq!(arena.first_difference(addr, &expect), want);
+            }
+        }
     }
 }

@@ -52,13 +52,20 @@ impl CacheOutcome {
 /// ```
 #[derive(Clone, Debug)]
 pub struct DirectMappedCache {
-    /// Tag per line: the full line number; `u32::MAX` marks an invalid
-    /// line. 32-bit tags halve the host footprint of the tag arrays —
-    /// which a many-node cell multiplies by machine count — and suffice
-    /// for any line number below `u32::MAX`, i.e. 256 GB of simulated
-    /// address space ([`touch_range`](DirectMappedCache::touch_range)
-    /// asserts the bound).
-    tags: Vec<u32>,
+    /// Tag per line, in fixed-size chunks of [`CHUNK_LINES`] lines: the
+    /// full line number, or `u32::MAX` for an invalid line. A chunk is
+    /// allocated on its first touch and a missing chunk reads as all
+    /// invalid, so a machine that touches a few lines of its 8 MB board
+    /// cache pays for a few 4 KiB chunks, not a 512 KiB array. 32-bit
+    /// tags halve the host footprint — which a many-node cell multiplies
+    /// by machine count — and suffice for any line number below
+    /// `u32::MAX`, i.e. 256 GB of simulated address space
+    /// ([`touch_range`](DirectMappedCache::touch_range) asserts the
+    /// bound).
+    chunks: Vec<Option<TagChunk>>,
+    /// Indices of the `Some` entries of `chunks`, so
+    /// [`flush`](DirectMappedCache::flush) costs O(materialized chunks).
+    materialized: Vec<usize>,
     line_shift: u32,
     index_mask: u64,
     total: CacheOutcome,
@@ -71,8 +78,23 @@ pub struct DirectMappedCache {
 
 const INVALID: u32 = u32::MAX;
 
+/// Lines per tag chunk: 4 KiB of tags.
+const CHUNK_LINES: usize = 1024;
+
+type TagChunk = Box<[u32; CHUNK_LINES]>;
+
+/// A chunk no line has touched yet: every tag invalid. Out of line and
+/// cold, so the touch paths inline only the presence check.
+#[cold]
+#[inline(never)]
+fn invalid_chunk() -> TagChunk {
+    Box::new([INVALID; CHUNK_LINES])
+}
+
 impl DirectMappedCache {
     /// Creates a cache of `capacity` bytes with `line_size`-byte lines.
+    /// Costs O(capacity / (`line_size` × 1024)): tag storage is allocated
+    /// as lines are first touched.
     ///
     /// # Panics
     ///
@@ -89,8 +111,10 @@ impl DirectMappedCache {
         );
         assert!(capacity >= line_size, "cache must hold at least one line");
         let lines = capacity / line_size;
+        let slots = usize::try_from(lines.div_ceil(CHUNK_LINES as u64)).expect("cache too large");
         DirectMappedCache {
-            tags: vec![INVALID; usize::try_from(lines).expect("cache too large")],
+            chunks: vec![None; slots],
+            materialized: Vec::new(),
             line_shift: line_size.trailing_zeros(),
             index_mask: lines - 1,
             total: CacheOutcome::default(),
@@ -112,7 +136,19 @@ impl DirectMappedCache {
     /// The capacity in bytes.
     #[inline]
     pub fn capacity(&self) -> u64 {
-        (self.tags.len() as u64) << self.line_shift
+        (self.index_mask + 1) << self.line_shift
+    }
+
+    /// The tag chunk holding line index `idx`'s tag, materialized
+    /// all-invalid on first touch.
+    #[inline]
+    fn chunk_mut(&mut self, idx: usize) -> &mut [u32; CHUNK_LINES] {
+        let slot = idx / CHUNK_LINES;
+        let materialized = &mut self.materialized;
+        self.chunks[slot].get_or_insert_with(|| {
+            materialized.push(slot);
+            invalid_chunk()
+        })
     }
 
     /// Accesses the `len` bytes at `addr` (read or write: the model is
@@ -126,9 +162,9 @@ impl DirectMappedCache {
     }
 
     /// Bulk form of [`touch`](DirectMappedCache::touch): walks the line
-    /// range as index-contiguous tag-array chunks, so a large sequential
-    /// access (a mirror copy, a log append) costs one bounds check and one
-    /// stats merge per wrap of the index space instead of per line. The
+    /// range as index-contiguous runs inside one tag chunk, so a large
+    /// sequential access (a mirror copy, a log append) costs one chunk
+    /// lookup and bounds check per 1024 lines instead of per line. The
     /// hit/miss outcome is identical to touching each line in order.
     pub fn touch_range(&mut self, addr: Addr, len: u64) -> CacheOutcome {
         if len == 0 {
@@ -141,36 +177,45 @@ impl DirectMappedCache {
             "simulated address space exceeds the 32-bit line-tag range"
         );
         // Word-sized accesses — the bulk of all simulated stores — touch a
-        // single line; skip the chunk-walk machinery for them.
+        // single line; skip the run-walk machinery for them.
         if first == last {
-            let tag = &mut self.tags[(first & self.index_mask) as usize];
+            let idx = (first & self.index_mask) as usize;
+            let tag = &mut self.chunk_mut(idx)[idx % CHUNK_LINES];
             let out = if *tag == first as u32 {
                 CacheOutcome { hits: 1, misses: 0 }
             } else {
-                self.occupied += u64::from(*tag == INVALID);
+                let fill = *tag == INVALID;
                 *tag = first as u32;
+                self.occupied += u64::from(fill);
                 CacheOutcome { hits: 0, misses: 1 }
             };
             self.total = self.total.merge(out);
             return out;
         }
         let mut out = CacheOutcome::default();
-        let lines = self.tags.len() as u64;
+        let lines = self.index_mask + 1;
         let mut line = first;
         while line <= last {
             let idx = (line & self.index_mask) as usize;
-            // Lines map to consecutive indices until the index wraps.
-            let chunk = (lines - idx as u64).min(last - line + 1) as usize;
-            for (expect, tag) in (line as u32..).zip(&mut self.tags[idx..idx + chunk]) {
+            let off = idx % CHUNK_LINES;
+            // Lines map to consecutive indices until the index wraps or
+            // the chunk ends.
+            let run = (CHUNK_LINES - off)
+                .min((lines - idx as u64) as usize)
+                .min((last - line + 1) as usize);
+            let mut fills = 0;
+            let chunk = self.chunk_mut(idx);
+            for (expect, tag) in (line as u32..).zip(&mut chunk[off..off + run]) {
                 if *tag == expect {
                     out.hits += 1;
                 } else {
                     out.misses += 1;
-                    self.occupied += u64::from(*tag == INVALID);
+                    fills += u64::from(*tag == INVALID);
                     *tag = expect;
                 }
             }
-            line += chunk as u64;
+            self.occupied += fills;
+            line += run as u64;
         }
         self.total = self.total.merge(out);
         out
@@ -191,8 +236,12 @@ impl DirectMappedCache {
 
     /// Invalidates every line (e.g. the cold cache after a reboot) and
     /// clears the cumulative statistics.
+    ///
+    /// Frees the materialized tag chunks: the cost is O(chunks touched).
     pub fn flush(&mut self) {
-        self.tags.fill(INVALID);
+        for slot in self.materialized.drain(..) {
+            self.chunks[slot] = None;
+        }
         self.total = CacheOutcome::default();
         self.occupied = 0;
     }
@@ -298,26 +347,80 @@ mod tests {
         let _ = DirectMappedCache::new(100, 64);
     }
 
-    /// The pre-optimization per-line loop, kept verbatim as the oracle
-    /// for the `touch_range` equivalence property.
-    fn ref_touch(cache: &mut DirectMappedCache, addr: Addr, len: u64) -> CacheOutcome {
-        if len == 0 {
-            return CacheOutcome::default();
-        }
-        let first = addr.as_u64() >> cache.line_shift;
-        let last = (addr.as_u64() + len - 1) >> cache.line_shift;
-        let mut out = CacheOutcome::default();
-        for line in first..=last {
-            let idx = (line & cache.index_mask) as usize;
-            if cache.tags[idx] == line as u32 {
-                out.hits += 1;
-            } else {
-                out.misses += 1;
-                cache.tags[idx] = line as u32;
+    /// The obvious model: one flat tag per line, touched line by line.
+    /// It shares no storage or walk with the chunked cache.
+    struct FlatCache {
+        tags: Vec<u32>,
+        line_shift: u32,
+        total: CacheOutcome,
+    }
+
+    impl FlatCache {
+        fn new(capacity: u64, line_size: u64) -> Self {
+            FlatCache {
+                tags: vec![INVALID; (capacity / line_size) as usize],
+                line_shift: line_size.trailing_zeros(),
+                total: CacheOutcome::default(),
             }
         }
-        cache.total = cache.total.merge(out);
-        out
+
+        fn touch(&mut self, addr: u64, len: u64) -> CacheOutcome {
+            let mut out = CacheOutcome::default();
+            if len == 0 {
+                return out;
+            }
+            let first = addr >> self.line_shift;
+            let last = (addr + len - 1) >> self.line_shift;
+            for line in first..=last {
+                let idx = (line % self.tags.len() as u64) as usize;
+                if self.tags[idx] == line as u32 {
+                    out.hits += 1;
+                } else {
+                    out.misses += 1;
+                    self.tags[idx] = line as u32;
+                }
+            }
+            self.total = self.total.merge(out);
+            out
+        }
+
+        fn flush(&mut self) {
+            self.tags.fill(INVALID);
+            self.total = CacheOutcome::default();
+        }
+
+        fn occupied(&self) -> u64 {
+            self.tags.iter().filter(|&&t| t != INVALID).count() as u64
+        }
+    }
+
+    /// The chunked cache's tags as one flat array, a missing chunk read
+    /// as all-invalid.
+    fn flat_tags(cache: &DirectMappedCache) -> Vec<u32> {
+        (0..=cache.index_mask as usize)
+            .map(|idx| {
+                cache.chunks[idx / CHUNK_LINES]
+                    .as_ref()
+                    .map_or(INVALID, |c| c[idx % CHUNK_LINES])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn chunks_materialize_on_first_touch_and_flush_frees_them() {
+        let mut c = DirectMappedCache::alpha_board_cache();
+        assert_eq!(c.chunks.len(), 128);
+        assert!(c.materialized.is_empty());
+        c.touch(Addr::new(0), 8);
+        // Line 1024 is the first line of the second chunk; the access
+        // straddles the boundary.
+        c.touch(Addr::new(1023 * 64), 128);
+        assert_eq!(c.materialized, vec![0, 1]);
+        assert_eq!(c.occupied_lines(), 3);
+        c.flush();
+        assert!(c.materialized.is_empty());
+        assert!(c.chunks.iter().all(Option::is_none));
+        assert_eq!(c.touch(Addr::new(0), 8).misses, 1);
     }
 
     mod equivalence {
@@ -327,25 +430,37 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// `touch_range` matches the per-line reference loop outcome
-            /// for outcome, stats, and final tag state — including ranges
-            /// much larger than the cache (multiple index wraps).
+            /// `touch_range` matches a flat per-line model outcome for
+            /// outcome, in stats, occupancy and final tag state, for
+            /// capacities below, at and several times the tag-chunk size,
+            /// with flushes interleaved — including ranges much larger
+            /// than the cache (multiple index wraps).
             #[test]
             fn touch_range_matches_per_line_reference(
-                capacity_lines_log2 in 1u32..6,
-                accesses in prop::collection::vec((0u64..1 << 14, 0u64..2048), 1..60),
+                capacity_lines_log2 in 1u32..13,
+                accesses in prop::collection::vec((0u64..1 << 20, 0u64..1 << 18, 0u8..16), 1..60),
             ) {
                 let line = 64u64;
                 let capacity = line << capacity_lines_log2;
                 let mut fast = DirectMappedCache::new(capacity, line);
-                let mut oracle = DirectMappedCache::new(capacity, line);
-                for &(addr, len) in &accesses {
+                let mut oracle = FlatCache::new(capacity, line);
+                prop_assert_eq!(fast.capacity(), capacity);
+                for &(addr, len, op) in &accesses {
+                    // One access in 16 flushes first; half are short
+                    // (mostly single-line), the rest span up to 4096
+                    // lines.
+                    if op == 0 {
+                        fast.flush();
+                        oracle.flush();
+                    }
+                    let len = if op < 8 { len % 100 } else { len };
                     let got = fast.touch_range(Addr::new(addr), len);
-                    let want = ref_touch(&mut oracle, Addr::new(addr), len);
+                    let want = oracle.touch(addr, len);
                     prop_assert_eq!(got, want, "outcome diverged at addr {} len {}", addr, len);
-                    prop_assert_eq!(&fast.tags, &oracle.tags, "tag state diverged");
+                    prop_assert_eq!(fast.occupied_lines(), oracle.occupied());
+                    prop_assert_eq!(fast.stats(), oracle.total);
                 }
-                prop_assert_eq!(fast.stats(), oracle.stats());
+                prop_assert_eq!(flat_tags(&fast), oracle.tags, "tag state diverged");
             }
         }
     }
