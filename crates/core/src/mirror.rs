@@ -86,19 +86,17 @@ pub struct MirrorEngine {
     scratch_mirror: Vec<u8>,
 }
 
-/// Copies `len` bytes from `src` to `dst` in 64 KiB chunks through one
-/// reused buffer. Page-sized chunks keep memory bounded for gigabyte
-/// databases, and each chunk is one [`Arena::write`]: the recovery-write
+/// Copies `len` bytes from `src` to `dst` in 64 KiB chunks. Page-sized
+/// chunks keep each copy bounded for gigabyte databases, and each chunk
+/// is one [`Arena::copy`], i.e. one counted write: the recovery-write
 /// crash sites are the chunk boundaries.
 fn copy_in_chunks(arena: &mut Arena, src: Addr, dst: Addr, len: u64) {
     const CHUNK: u64 = 64 * 1024;
-    let mut buf = vec![0u8; len.min(CHUNK) as usize];
     let mut off = 0u64;
     while off < len {
-        let chunk = &mut buf[..(len - off).min(CHUNK) as usize];
-        arena.read_into(src + off, chunk);
-        arena.write(dst + off, chunk);
-        off += chunk.len() as u64;
+        let n = (len - off).min(CHUNK);
+        arena.copy(src + off, dst + off, n as usize);
+        off += n;
     }
 }
 
@@ -205,18 +203,6 @@ impl MirrorEngine {
             0,
         );
         Ok(db.len())
-    }
-
-    /// Re-initializes the mirror to equal the database (setup path,
-    /// unaccounted). Call after the initial database load.
-    pub fn sync_mirror_from_db<T: Tracer>(&self, m: &mut Machine<T>) {
-        let mut arena = m.arena().borrow_mut();
-        copy_in_chunks(
-            &mut arena,
-            self.db.start(),
-            self.mirror.start(),
-            self.db.len(),
-        );
     }
 
     fn seq_addr(&self) -> Addr {

@@ -9,7 +9,7 @@
 //! recovered sequence number, reading its own database region.
 
 use dsnrep_core::{build_engine, shared_arena, Machine, ShadowDb, VersionTag};
-use dsnrep_rio::Arena;
+use dsnrep_rio::{Arena, PAGE_SIZE};
 use dsnrep_simcore::{Addr, CostModel, Region};
 use dsnrep_workloads::TxCtx;
 
@@ -23,8 +23,11 @@ pub const TAIL_WINDOW: u64 = 8;
 /// The precomputed fault-free truth for one scenario shape.
 #[derive(Clone, Debug)]
 pub struct Reference {
-    /// `images[s]` is the committed database image after `s` transactions.
-    images: Vec<Vec<u8>>,
+    /// `images[s]` is the committed database image after `s`
+    /// transactions, region relative (arena byte 0 is database byte 0).
+    /// Pages that hold only zeros in every image so far stay untouched,
+    /// so an image costs what the run wrote, not the database size.
+    images: Vec<Arena>,
     /// `txn_spans[i]` holds the region-relative torn window (declared
     /// undo ranges plus written spans) of the (1-based) transaction
     /// `i + 1`; extends `TAIL_WINDOW` past `txns`.
@@ -44,10 +47,19 @@ impl Reference {
         let mut shadow = ShadowDb::new(db);
         let mut workload = scenario.workload.build(db, scenario.seed);
 
+        let mut image = Arena::new(db.len());
+        for (i, page) in shadow.committed().chunks(PAGE_SIZE).enumerate() {
+            // An OR-reduction, not `any`: it vectorizes, and the scan runs
+            // over the whole database once per scenario.
+            if page.iter().fold(0, |acc, &b| acc | b) != 0 {
+                image.write(Addr::new((i * PAGE_SIZE) as u64), page);
+            }
+        }
         let mut images = Vec::with_capacity(scenario.txns as usize + 1);
-        images.push(shadow.committed().to_vec());
+        images.push(image);
         let mut txn_spans = Vec::with_capacity((scenario.txns + TAIL_WINDOW) as usize);
         for i in 0..scenario.txns + TAIL_WINDOW {
+            let seq = shadow.seq();
             let mut ctx = TxCtx::new(&mut m, engine.as_mut()).with_shadow(&mut shadow);
             workload
                 .run_txn(&mut ctx)
@@ -63,7 +75,16 @@ impl Reference {
             window.extend_from_slice(shadow.last_txn_spans());
             txn_spans.push(window);
             if i < scenario.txns {
-                images.push(shadow.committed().to_vec());
+                // A commit changes the committed image exactly on its
+                // written spans; an abort changes nothing.
+                let mut image = images.last().expect("image 0 is pushed").clone();
+                if shadow.seq() > seq {
+                    for &(off, len) in shadow.last_txn_spans() {
+                        let span = off as usize..(off + len) as usize;
+                        image.write(Addr::new(off), &shadow.committed()[span]);
+                    }
+                }
+                images.push(image);
             }
         }
         // The shadow is the truth the images came from; the engine that
@@ -81,14 +102,12 @@ impl Reference {
         self.images.len() as u64 - 1
     }
 
-    /// The committed image after `seq` transactions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` exceeds [`Reference::txns`] (callers check the
-    /// sequence invariant first).
-    pub fn image(&self, seq: u64) -> &[u8] {
-        &self.images[seq as usize]
+    /// The committed image after `seq` transactions, copied out: the
+    /// dense form the sparse images are checked against in tests.
+    #[cfg(test)]
+    pub(crate) fn image(&self, seq: u64) -> Vec<u8> {
+        let image = &self.images[seq as usize];
+        image.read_vec(Addr::new(0), image.len() as usize)
     }
 
     /// Region-relative spans a 1-safe backup at boundary `seq` may
@@ -113,9 +132,9 @@ impl Reference {
         db: Region,
         allow_torn_tail: bool,
     ) -> Option<u64> {
-        let expect = self.image(seq);
+        let expect = &self.images[seq as usize];
         assert_eq!(
-            expect.len() as u64,
+            expect.len(),
             db.len(),
             "oracle and run disagree on the database size"
         );
@@ -124,32 +143,43 @@ impl Reference {
         } else {
             Vec::new()
         };
-        first_unexplained(expect, arena, db.start(), &torn)
+        first_unexplained(expect, arena, db, &torn)
     }
 }
 
-/// The first offset where `expect` and the arena bytes at `at` differ
-/// outside every `(offset, len)` span of `torn`.
+/// The first region-relative offset where the bytes of `db` in `arena`
+/// differ from the region-relative image `expect`, outside every
+/// `(offset, len)` span of `torn`.
 ///
-/// Each step is one in-place [`Arena::first_difference`], so the cost of
-/// a matching image is a few bulk compares rather than a copy and a byte
-/// loop; a difference inside a torn span skips to the end of that span,
-/// since every byte up to there is explained.
-fn first_unexplained(expect: &[u8], arena: &Arena, at: Addr, torn: &[(u64, u64)]) -> Option<u64> {
+/// Each step is one in-place [`Arena::first_difference_with`], so pages
+/// untouched on both sides cost nothing and a matching image costs a few
+/// bulk compares; a difference inside a torn span skips to the end of
+/// that span, since every byte up to there is explained.
+fn first_unexplained(
+    expect: &Arena,
+    arena: &Arena,
+    db: Region,
+    torn: &[(u64, u64)],
+) -> Option<u64> {
+    let len = db.len();
     let mut from = 0;
     while let Some(i) = arena
-        .first_difference(at + from as u64, &expect[from..])
-        .map(|d| from + d)
+        .first_difference_with(
+            db.start() + from,
+            expect,
+            Addr::new(from),
+            (len - from) as usize,
+        )
+        .map(|d| from + d as u64)
     {
-        let at = i as u64;
         match torn
             .iter()
-            .filter(|&&(off, len)| (off..off + len).contains(&at))
+            .filter(|&&(off, len)| (off..off + len).contains(&i))
             .map(|&(off, len)| off + len)
             .max()
         {
-            Some(end) => from = end as usize,
-            None => return Some(at),
+            Some(end) => from = end,
+            None => return Some(i),
         }
     }
     None
@@ -158,7 +188,6 @@ fn first_unexplained(expect: &[u8], arena: &Arena, at: Addr, torn: &[(u64, u64)]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsnrep_rio::PAGE_SIZE;
     use dsnrep_workloads::WorkloadKind;
 
     /// The reference: a byte loop over a torn-byte mask.
@@ -233,7 +262,12 @@ mod tests {
         for case in 0..2_000 {
             let len = [0, 1, 63, 1023, 1024, 1025, 3000][case % 7];
             let base = Addr::new([0, PAGE_SIZE as u64 - 700][case % 2]);
-            let expect: Vec<u8> = (0..len).map(|_| next(256) as u8).collect();
+            let mut expect: Vec<u8> = (0..len).map(|_| next(256) as u8).collect();
+            if case % 3 == 0 {
+                // Untouched pages on the expected side, and on both sides
+                // wherever no difference lands.
+                expect.fill(0);
+            }
             let mut actual = expect.clone();
             for _ in 0..next(6) {
                 if len > 0 {
@@ -248,9 +282,10 @@ mod tests {
                     (off, next(len as u64 - off + 1))
                 })
                 .collect();
+            let image = arena_with(2 * PAGE_SIZE as u64, Addr::new(0), &expect);
             let arena = arena_with(2 * PAGE_SIZE as u64, base, &actual);
             assert_eq!(
-                first_unexplained(&expect, &arena, base, &torn),
+                first_unexplained(&image, &arena, Region::new(base, len as u64), &torn),
                 scan_unexplained(&expect, &actual, &torn),
                 "case {case}: len {len}, torn {torn:?}"
             );
@@ -280,7 +315,7 @@ mod tests {
             ];
             sites.extend(tail.iter().take(3).map(|&(off, _)| Some(off)));
             for site in sites {
-                let mut actual = r.image(seq).to_vec();
+                let mut actual = r.image(seq);
                 if let Some(off) = site {
                     actual[off as usize] ^= 0x5A;
                 }
@@ -289,11 +324,51 @@ mod tests {
                     let spans = if torn { tail.clone() } else { Vec::new() };
                     assert_eq!(
                         r.first_unexplained_mismatch(seq, &arena, db, torn),
-                        slice_unexplained(r.image(seq), &arena.region_vec(db), &spans),
+                        slice_unexplained(&r.image(seq), &arena.region_vec(db), &spans),
                         "seq {seq}, corrupted at {site:?}, torn tail {torn}"
                     );
                 }
             }
+        }
+    }
+
+    /// Every sparse image equals the dense committed image of a shadow
+    /// replaying the same run, at every sequence number, and only pages
+    /// the run wrote are materialized.
+    #[test]
+    fn sparse_images_equal_the_shadow_at_every_sequence() {
+        for workload in [WorkloadKind::DebitCredit, WorkloadKind::OrderEntry] {
+            let scenario = Scenario::standalone(VersionTag::ImprovedLog, workload);
+            let r = Reference::build(&scenario);
+            let config = dsnrep_core::EngineConfig::for_db(scenario.db_len);
+            let arena = shared_arena(dsnrep_core::arena_len(VersionTag::ImprovedLog, &config));
+            let mut m = Machine::standalone(CostModel::alpha_21164a(), arena);
+            let mut engine = build_engine(VersionTag::ImprovedLog, &mut m, &config);
+            let db = engine.db_region();
+            let mut shadow = ShadowDb::new(db);
+            let mut w = scenario.workload.build(db, scenario.seed);
+            for seq in 0..=r.txns() {
+                if seq > 0 {
+                    let mut ctx = TxCtx::new(&mut m, engine.as_mut()).with_shadow(&mut shadow);
+                    w.run_txn(&mut ctx).expect("the fault-free run cannot fail");
+                }
+                assert_eq!(r.image(seq), shadow.committed(), "{workload:?} image {seq}");
+                // Image 0 is all zeros; later images materialize only
+                // pages their transactions' torn windows reach.
+                let reached: std::collections::BTreeSet<u64> = r.txn_spans[..seq as usize]
+                    .iter()
+                    .flatten()
+                    .filter(|&&(_, len)| len > 0)
+                    .flat_map(|&(off, len)| {
+                        off / PAGE_SIZE as u64..=(off + len - 1) / PAGE_SIZE as u64
+                    })
+                    .collect();
+                assert!(
+                    r.images[seq as usize].pages_touched() <= reached.len(),
+                    "{workload:?} image {seq} materializes pages nothing wrote"
+                );
+            }
+            assert_eq!(r.images[0].pages_touched(), 0, "{workload:?}");
         }
     }
 
@@ -317,7 +392,7 @@ mod tests {
         let db = Region::new(Addr::new(0), scenario.db_len);
         // A backup that stopped at boundary 2 but partially applied txn 3:
         // corrupt one byte inside txn 3's first span.
-        let mut actual = r.image(2).to_vec();
+        let mut actual = r.image(2);
         let spans = r.tail_spans(2);
         let (off, _) = spans[0];
         actual[off as usize] ^= 0xFF;
@@ -336,7 +411,7 @@ mod tests {
         let outside = (0..actual.len() as u64)
             .find(|b| !torn.contains(b))
             .expect("the tail does not cover the whole database");
-        let mut actual = r.image(2).to_vec();
+        let mut actual = r.image(2);
         actual[outside as usize] ^= 0xFF;
         let arena = arena_with(db.len(), db.start(), &actual);
         assert_eq!(

@@ -10,6 +10,7 @@
 
 use dsnrep_core::{build_engine, EngineConfig, Machine, ShadowDb, VersionTag};
 use dsnrep_repl::{ActiveCluster, PassiveCluster};
+use dsnrep_rio::PAGE_SIZE;
 use dsnrep_simcore::{CostModel, Region, MIB};
 use dsnrep_workloads::{TxCtx, WorkloadKind};
 
@@ -132,6 +133,35 @@ fn passive_failover_after_quiesce_is_exact_for_all_versions() {
             );
         }
     }
+}
+
+/// The mirroring versions' takeover copies the whole mirror over the
+/// database, but only the pages the run touched may be materialized: the
+/// copy's host cost follows what was written, not the database size,
+/// and the copied database is still byte-exact.
+#[test]
+fn mirror_takeover_materializes_only_touched_pages() {
+    let kind = WorkloadKind::OrderEntry;
+    let db_len = MIB;
+    let config = EngineConfig::for_db(db_len);
+    let mut cluster =
+        PassiveCluster::new(CostModel::alpha_21164a(), VersionTag::MirrorCopy, &config);
+    let mut workload = kind.build(cluster.engine().db_region(), 11);
+    let ran = 2u64;
+    cluster.run(workload.as_mut(), ran);
+    cluster.quiesce();
+    let failover = cluster.crash_primary();
+    assert_eq!(failover.report.committed_seq, ran);
+    let db = failover.engine.db_region();
+    let arena = failover.machine.arena().borrow();
+    let db_pages = db.len().div_ceil(PAGE_SIZE as u64) as usize;
+    assert!(
+        arena.pages_touched() < db_pages,
+        "the takeover materialized {} pages; the database alone spans {db_pages}",
+        arena.pages_touched()
+    );
+    let (reference, _, _) = reference_state(kind, 11, ran, db_len);
+    assert_eq!(reference, arena.read_vec(db.start(), db.len() as usize));
 }
 
 #[test]

@@ -237,33 +237,36 @@ impl Arena {
         }
     }
 
-    /// Compares the `expect.len()` bytes at `addr` with `expect` in place,
-    /// without copying them out, and returns the offset (relative to
-    /// `addr`) of the first byte that differs. An untouched page compares
-    /// as zeros, exactly as [`read_into`](Arena::read_into) would read it.
+    /// Compares the `len` bytes at `at` with the `len` bytes at
+    /// `other_at` of `other`, in place, and returns the offset (relative
+    /// to `at`) of the first byte that differs. An untouched page reads
+    /// as zeros, exactly as [`read_into`](Arena::read_into) would read
+    /// it, so a piece untouched on both sides costs nothing and a piece
+    /// untouched on one side is a scan for a nonzero byte.
     ///
     /// # Panics
     ///
-    /// Panics if the range falls outside the arena.
-    pub fn first_difference(&self, addr: Addr, expect: &[u8]) -> Option<usize> {
-        self.check(addr, expect.len());
-        let mut off = addr.as_usize();
-        let mut done = 0;
-        while done < expect.len() {
-            let page_off = off % PAGE_SIZE;
-            let n = (PAGE_SIZE - page_off).min(expect.len() - done);
-            let want = &expect[done..done + n];
-            let diff = match &self.pages[off / PAGE_SIZE] {
-                Some(page) => first_mismatch(&page[page_off..page_off + n], want),
-                None => first_nonzero(want),
+    /// Panics if either range falls outside its arena.
+    pub fn first_difference_with(
+        &self,
+        at: Addr,
+        other: &Arena,
+        other_at: Addr,
+        len: usize,
+    ) -> Option<usize> {
+        self.check(at, len);
+        other.check(other_at, len);
+        let (a, b) = (at.as_usize(), other_at.as_usize());
+        pieces(a, b, len).find_map(|(x, y, n)| {
+            let (px, py) = (x % PAGE_SIZE, y % PAGE_SIZE);
+            let diff = match (&self.pages[x / PAGE_SIZE], &other.pages[y / PAGE_SIZE]) {
+                (None, None) => None,
+                (Some(p), None) => first_nonzero(&p[px..px + n]),
+                (None, Some(q)) => first_nonzero(&q[py..py + n]),
+                (Some(p), Some(q)) => first_mismatch(&p[px..px + n], &q[py..py + n]),
             };
-            if let Some(d) = diff {
-                return Some(done + d);
-            }
-            done += n;
-            off += n;
-        }
-        None
+            diff.map(|d| x - a + d)
+        })
     }
 
     /// Reads `len` bytes at `addr` into a fresh vector.
@@ -310,6 +313,13 @@ impl Arena {
     /// Copies `len` bytes from `src` to `dst` within the arena. Ranges may
     /// not overlap.
     ///
+    /// Counts as one [`Arena::write`], and an armed write budget halts it
+    /// before anything is mutated. The copy costs what the source touched:
+    /// a piece whose source page is untouched leaves an untouched
+    /// destination page untouched (both read as zeros) and zero-fills a
+    /// touched one, so copying a sparse region materializes no more pages
+    /// than it must.
+    ///
     /// # Panics
     ///
     /// Panics if either range is out of bounds or if they overlap.
@@ -318,8 +328,36 @@ impl Arena {
             !Region::new(src, len as u64).overlaps(Region::new(dst, len as u64)),
             "arena copy ranges overlap"
         );
-        let data = self.read_vec(src, len);
-        self.write(dst, &data);
+        self.check(src, len);
+        self.consume_write_budget();
+        self.writes += 1;
+        self.check(dst, len);
+        for (s, d, n) in pieces(src.as_usize(), dst.as_usize(), len) {
+            let (sp, dp) = (s / PAGE_SIZE, d / PAGE_SIZE);
+            let (so, off) = (s % PAGE_SIZE, d % PAGE_SIZE);
+            if self.pages[sp].is_none() {
+                if let Some(page) = &mut self.pages[dp] {
+                    page[off..off + n].fill(0);
+                }
+            } else if sp == dp {
+                let page = self.pages[sp].as_mut().expect("source page is touched");
+                page.copy_within(so..so + n, off);
+            } else {
+                let (from, to) = if sp < dp {
+                    let (lo, hi) = self.pages.split_at_mut(dp);
+                    (&lo[sp], &mut hi[0])
+                } else {
+                    let (lo, hi) = self.pages.split_at_mut(sp);
+                    (&hi[0], &mut lo[dp])
+                };
+                let from = from.as_deref().expect("source page is touched");
+                let to = to.get_or_insert_with(|| {
+                    self.touched += 1;
+                    vec![0u8; PAGE_SIZE].into_boxed_slice()
+                });
+                to[off..off + n].copy_from_slice(&from[so..so + n]);
+            }
+        }
     }
 
     /// Returns the whole region's bytes; intended for test oracles on small
@@ -330,6 +368,22 @@ impl Arena {
             usize::try_from(region.len()).expect("region too large"),
         )
     }
+}
+
+/// Splits `len` bytes starting at offsets `a` and `b` into pieces that
+/// cross no page edge on either side, as `(a + i, b + i, n)`.
+fn pieces(a: usize, b: usize, len: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let mut done = 0;
+    core::iter::from_fn(move || {
+        (done < len).then(|| {
+            let (x, y) = (a + done, b + done);
+            let n = (PAGE_SIZE - x % PAGE_SIZE)
+                .min(PAGE_SIZE - y % PAGE_SIZE)
+                .min(len - done);
+            done += n;
+            (x, y, n)
+        })
+    })
 }
 
 /// Block length of the compare helpers: equal stretches are skipped one
@@ -490,17 +544,37 @@ mod tests {
     }
 
     #[test]
-    fn first_difference_of_an_empty_range_is_none() {
-        let a = Arena::new(PAGE_SIZE as u64);
-        assert_eq!(a.first_difference(Addr::new(PAGE_SIZE as u64), &[]), None);
-        assert_eq!(a.first_difference(Addr::new(7), &[]), None);
+    fn first_difference_with_of_an_empty_range_is_none() {
+        let mut a = Arena::new(PAGE_SIZE as u64);
+        let b = Arena::new(PAGE_SIZE as u64 * 2);
+        a.write(Addr::new(7), &[1]);
+        let end = Addr::new(PAGE_SIZE as u64);
+        assert_eq!(a.first_difference_with(end, &b, Addr::new(3), 0), None);
+        assert_eq!(a.first_difference_with(Addr::new(7), &b, end, 0), None);
     }
 
-    mod compare {
+    #[test]
+    fn copying_untouched_pages_materializes_nothing() {
+        let mut a = Arena::new(PAGE_SIZE as u64 * 8);
+        a.write(Addr::new(PAGE_SIZE as u64 * 5), &[1]);
+        a.copy(
+            Addr::new(10),
+            Addr::new(PAGE_SIZE as u64 * 3 + 10),
+            2 * PAGE_SIZE,
+        );
+        assert_eq!(a.pages_touched(), 1);
+        // A touched destination piece is zero-filled, not skipped.
+        a.copy(Addr::new(0), Addr::new(PAGE_SIZE as u64 * 5), 1);
+        assert_eq!(a.read_u32(Addr::new(PAGE_SIZE as u64 * 5)), 0);
+        assert_eq!(a.pages_touched(), 1);
+        assert_eq!(a.writes(), 3);
+    }
+
+    mod pages {
         use super::*;
         use proptest::prelude::*;
 
-        const PAGES: u64 = 4;
+        const PAGES: u64 = 6;
 
         /// An arena offset drawn as (page, edge, raw): edges 0..4 pin it
         /// on or next to a page boundary, the rest take the raw offset.
@@ -519,37 +593,120 @@ mod tests {
             (0..PAGES, 0u8..8, 0..PAGE_SIZE)
         }
 
+        /// Writes one byte at each site; a zero byte materializes a page
+        /// without changing what it reads as.
+        fn arena_with(writes: &[((u64, u8, usize), u8)]) -> Arena {
+            let mut arena = Arena::new(PAGES * PAGE_SIZE as u64);
+            for &(at, byte) in writes {
+                arena.write(Addr::new(offset(at)), &[byte]);
+            }
+            arena
+        }
+
+        fn everything(arena: &Arena) -> Vec<u8> {
+            arena.read_vec(Addr::new(0), arena.len() as usize)
+        }
+
+        fn touched(arena: &Arena) -> Vec<bool> {
+            arena.pages.iter().map(Option::is_some).collect()
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
-            /// The in-place compare returns exactly what a copy-out read
-            /// plus a byte loop returns: over untouched pages, pages
-            /// materialized with only zeros, ranges crossing pages, and
+            /// The page-aware copy leaves every byte where a dense copy
+            /// (read out, write back) leaves it, counts as exactly one
+            /// write, halts before mutating anything, and materializes a
+            /// destination page only when a touched source page lands on
+            /// it.
+            #[test]
+            fn copy_matches_a_dense_read_and_write(
+                writes in prop::collection::vec((site(), 0u8..4), 0..12),
+                src in site(),
+                dst in site(),
+                len in 0usize..2 * PAGE_SIZE,
+            ) {
+                let arena = arena_with(&writes);
+                let (src, dst) = (offset(src), offset(dst));
+                // Clamp into bounds, then shorten to keep the ranges apart.
+                let len = (len as u64)
+                    .min(arena.len() - src)
+                    .min(arena.len() - dst)
+                    .min(src.abs_diff(dst)) as usize;
+                let (src, dst) = (Addr::new(src), Addr::new(dst));
+
+                let mut model = arena.clone();
+                let bytes = model.read_vec(src, len);
+                model.write(dst, &bytes);
+
+                let mut copied = arena.clone();
+                copied.copy(src, dst, len);
+                prop_assert_eq!(everything(&copied), everything(&model));
+                prop_assert_eq!(copied.writes(), arena.writes() + 1);
+
+                // In byte order, a destination page is materialized once a
+                // touched source page lands on it (a source page the copy
+                // itself materialized counts from then on).
+                let mut want = touched(&arena);
+                for k in 0..len {
+                    let (s, d) = (src.as_usize() + k, dst.as_usize() + k);
+                    want[d / PAGE_SIZE] |= want[s / PAGE_SIZE];
+                }
+                prop_assert_eq!(touched(&copied), want);
+                prop_assert_eq!(copied.pages_touched(), touched(&copied).iter().filter(|&&t| t).count());
+                if (0..len).all(|k| arena.pages[(src.as_usize() + k) / PAGE_SIZE].is_none()) {
+                    prop_assert_eq!(copied.pages_touched(), arena.pages_touched());
+                }
+
+                let mut halted = arena.clone();
+                halted.inject_halt_after_writes(0);
+                let run = std::panic::catch_unwind(core::panic::AssertUnwindSafe(|| {
+                    halted.copy(src, dst, len);
+                }));
+                prop_assert!(run.is_err());
+                prop_assert!(halted.has_halted());
+                prop_assert_eq!(everything(&halted), everything(&arena));
+                prop_assert_eq!(touched(&halted), touched(&arena));
+                prop_assert_eq!(halted.writes(), arena.writes());
+            }
+
+            /// The arena-vs-arena compare returns exactly what a byte loop
+            /// over both sides' copied-out bytes returns: over pages
+            /// untouched on either side or both, pages materialized with
+            /// only zeros, bases misaligned against each other, and
             /// differences on page edges.
             #[test]
-            fn first_difference_matches_read_vec_and_a_byte_loop(
-                writes in prop::collection::vec((site(), 0u8..4), 0..12),
-                start in site(),
+            fn first_difference_with_matches_a_byte_loop(
+                a_writes in prop::collection::vec((site(), 0u8..4), 0..12),
+                b_writes in prop::collection::vec((site(), 0u8..2), 0..6),
+                at in site(),
+                other_at in site(),
                 len in 0usize..3 * PAGE_SIZE,
-                flips in prop::collection::vec((site(), 1u8..=255), 0..4),
+                flips in prop::collection::vec((0u8..2, site(), 1u8..=255), 0..4),
             ) {
-                let mut arena = Arena::new(PAGES * PAGE_SIZE as u64);
-                for &(at, byte) in &writes {
-                    // A zero byte materializes a page without changing it.
-                    arena.write(Addr::new(offset(at)), &[byte]);
-                }
-                let start = offset(start);
-                let len = len.min((arena.len() - start) as usize);
-                let addr = Addr::new(start);
-                let mut expect = arena.read_vec(addr, len);
-                for &(at, mask) in &flips {
-                    if let Some(i) = offset(at).checked_sub(start).filter(|&i| i < len as u64) {
-                        expect[i as usize] ^= mask;
+                let mut a = arena_with(&a_writes);
+                let mut b = arena_with(&b_writes);
+                let (at, other_at) = (offset(at), offset(other_at));
+                let len = (len as u64).min(a.len() - at).min(b.len() - other_at) as usize;
+                let (at, other_at) = (Addr::new(at), Addr::new(other_at));
+                // Give `b` the bytes of `a`, skipping all-zero 1 KiB
+                // pieces so pages `a` leaves zero can stay untouched.
+                let bytes = a.read_vec(at, len);
+                for (i, piece) in bytes.chunks(1024).enumerate() {
+                    if piece.iter().any(|&x| x != 0) {
+                        b.write(other_at + (i * 1024) as u64, piece);
                     }
                 }
-                let actual = arena.read_vec(addr, len);
-                let want = (0..len).find(|&i| actual[i] != expect[i]);
-                prop_assert_eq!(arena.first_difference(addr, &expect), want);
+                for &(side, site, mask) in &flips {
+                    let arena = if side == 0 { &mut a } else { &mut b };
+                    let addr = Addr::new(offset(site));
+                    let byte = arena.read_vec(addr, 1)[0] ^ mask;
+                    arena.write(addr, &[byte]);
+                }
+                let (x, y) = (a.read_vec(at, len), b.read_vec(other_at, len));
+                let want = (0..len).find(|&i| x[i] != y[i]);
+                prop_assert_eq!(a.first_difference_with(at, &b, other_at, len), want);
+                prop_assert_eq!(b.first_difference_with(other_at, &a, at, len), want);
             }
         }
     }
